@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cached_property
 
 from . import bijection, complexes, counting, homology, simplicial
 from .complexes import enumerate_faces
@@ -36,8 +37,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-SUITES = ("counts", "purity", "bijection", "shelling", "homology", "all")
 
 
 def _params(args) -> PolygonParams:
@@ -84,11 +83,24 @@ def _face_tokens(face: complexes.Face) -> list[str]:
     ]
 
 
-def _abstract_with_priority(params, max_faces):
-    table = enumerate_faces(params, max_faces=max_faces)
-    facets = complexes.abstract_facets(table)
-    priority = complexes.decomposition_priority(params, table.vertices)
-    return table, simplicial.AbstractComplex(facets), priority
+class _Analysis:
+    """The face table and abstract complex of one parameter set, each built
+    at most once, when a command or suite first asks for it; `max_states`
+    bounds the decomposition search of the shelling suite."""
+
+    def __init__(self, params, max_faces=None, max_states=simplicial.DEFAULT_MAX_STATES):
+        self.params, self.max_faces, self.max_states = params, max_faces, max_states
+
+    @cached_property
+    def table(self) -> complexes.FaceTable:
+        return enumerate_faces(self.params, max_faces=self.max_faces)
+
+    @cached_property
+    def complex(self) -> simplicial.AbstractComplex:
+        return simplicial.AbstractComplex(complexes.abstract_facets(self.table))
+
+    def priority(self) -> dict[int, int]:
+        return complexes.decomposition_priority(self.params, self.table.vertices)
 
 
 # -- plain computations ---------------------------------------------------------
@@ -194,7 +206,8 @@ def cmd_shelling(args) -> int:
         narayana_vec = None
     else:
         params = _params(args)
-        _table, comp, priority = _abstract_with_priority(params, args.max_faces)
+        analysis = _Analysis(params, args.max_faces)
+        comp, priority = analysis.complex, analysis.priority()
         params_doc = _params_dict(params)
         narayana_vec = counting.narayana_vector(params)
 
@@ -206,10 +219,10 @@ def cmd_shelling(args) -> int:
     if cert is None:
         print("no vertex decomposition exists", file=sys.stderr)
         return EXIT_VIOLATION
-    if not simplicial.verify_vertex_decomposition(comp, cert):
+    order = simplicial.shelling_from_decomposition(comp, cert)
+    if order is None:
         print("decomposition certificate failed verification", file=sys.stderr)
         return EXIT_VIOLATION
-    order = simplicial.shelling_from_decomposition(comp, cert)
     try:
         shelling = simplicial.verify_shelling(comp, order)
     except ShellingError as exc:
@@ -250,8 +263,7 @@ def cmd_homology(args) -> int:
         expected = None
     else:
         params = _params(args)
-        table = enumerate_faces(params, max_faces=args.max_faces)
-        comp = simplicial.AbstractComplex(complexes.abstract_facets(table))
+        comp = _Analysis(params, args.max_faces).complex
         params_doc = _params_dict(params)
         expected = _expected_betti(params)
 
@@ -288,10 +300,10 @@ def _skip(name: str, reason: str) -> dict:
     return {"name": name, "status": "skipped", "reason": reason}
 
 
-def _suite_counts(params, max_faces) -> list[dict]:
-    table = enumerate_faces(params, max_faces=max_faces)
+def _suite_counts(analysis: _Analysis) -> list[dict]:
+    enum_f = analysis.table.f_vector()
+    params = analysis.params
     closed = counting.f_vector(params)
-    enum_f = table.f_vector()
     h = counting.h_from_f(closed)
     nar = counting.narayana_vector(params)
     r = params.rank
@@ -310,8 +322,8 @@ def _suite_counts(params, max_faces) -> list[dict]:
     ]
 
 
-def _suite_purity(params, max_faces) -> list[dict]:
-    table = enumerate_faces(params, max_faces=max_faces)
+def _suite_purity(analysis: _Analysis) -> list[dict]:
+    params, table = analysis.params, analysis.table
     checks = []
     witness = complexes.check_pure(table)
     checks.append(
@@ -321,11 +333,7 @@ def _suite_purity(params, max_faces) -> list[dict]:
             counterexample=None if witness is None else face_to_document(witness),
         )
     )
-    bad_region = None
-    for face in table.facets():
-        if not complexes.facet_region_audit(face):
-            bad_region = face
-            break
+    bad_region = next((f for f in table.facets() if not complexes.facet_region_audit(f)), None)
     checks.append(
         _check(
             "purity.facet-regions-are-(m+2)-gons",
@@ -334,11 +342,7 @@ def _suite_purity(params, max_faces) -> list[dict]:
         )
     )
     if params.family == FAMILY_B:
-        bad_diam = None
-        for face in table.facets():
-            if complexes.diameter_count(face) != 1:
-                bad_diam = face
-                break
+        bad_diam = next((f for f in table.facets() if complexes.diameter_count(f) != 1), None)
         checks.append(
             _check(
                 "purity.facets-contain-exactly-one-diameter",
@@ -349,10 +353,11 @@ def _suite_purity(params, max_faces) -> list[dict]:
     return checks
 
 
-def _suite_bijection(params, max_faces) -> list[dict]:
+def _suite_bijection(analysis: _Analysis) -> list[dict]:
+    params = analysis.params
     if params.family != FAMILY_B:
         return [_skip("bijection.round-trip", "the encoding is defined for family B")]
-    table = enumerate_faces(params, max_faces=max_faces)
+    table = analysis.table
     checks = []
     bad = None
     images_per_card: list[set] = [set() for _ in range(params.rank + 1)]
@@ -400,27 +405,25 @@ def _suite_bijection(params, max_faces) -> list[dict]:
     return checks
 
 
-def _suite_shelling(params, max_faces, max_states) -> list[dict]:
-    _table, comp, priority = _abstract_with_priority(params, max_faces)
-    checks = []
-    cert = simplicial.find_vertex_decomposition(comp, priority, max_states=max_states)
-    checks.append(_check("shelling.decomposition-found", cert is not None))
+def _suite_shelling(analysis: _Analysis) -> list[dict]:
+    comp = analysis.complex
+    cert = simplicial.find_vertex_decomposition(
+        comp, analysis.priority(), max_states=analysis.max_states
+    )
+    checks = [_check("shelling.decomposition-found", cert is not None)]
     if cert is None:
         return checks
-    checks.append(
-        _check(
-            "shelling.certificate-verified",
-            simplicial.verify_vertex_decomposition(comp, cert),
-        )
-    )
     order = simplicial.shelling_from_decomposition(comp, cert)
+    checks.append(_check("shelling.certificate-verified", order is not None))
+    if order is None:
+        return checks
     try:
         shelling = simplicial.verify_shelling(comp, order)
     except ShellingError as exc:
         checks.append(_check("shelling.order-verified", False, got=str(exc)))
         return checks
     checks.append(_check("shelling.order-verified", True))
-    nar = counting.narayana_vector(params)
+    nar = counting.narayana_vector(analysis.params)
     got = shelling.h_vector(comp.dim)
     checks.append(
         _check("shelling.restrictions-match-narayana", got == nar, list(nar), list(got))
@@ -428,10 +431,9 @@ def _suite_shelling(params, max_faces, max_states) -> list[dict]:
     return checks
 
 
-def _suite_homology(params, max_faces) -> list[dict]:
-    table = enumerate_faces(params, max_faces=max_faces)
-    comp = simplicial.AbstractComplex(complexes.abstract_facets(table))
-    betti = homology.reduced_betti(comp)
+def _suite_homology(analysis: _Analysis) -> list[dict]:
+    params = analysis.params
+    betti = homology.reduced_betti(analysis.complex)
     expected = _expected_betti(params)
     checks = [
         _check("homology.betti-wedge-of-spheres", betti == expected, list(expected), list(betti))
@@ -445,23 +447,17 @@ def _suite_homology(params, max_faces) -> list[dict]:
     return checks
 
 
+SUITE_CHECKS = {"counts": _suite_counts, "purity": _suite_purity, "bijection": _suite_bijection,
+                "shelling": _suite_shelling, "homology": _suite_homology}
+SUITES = (*SUITE_CHECKS, "all")
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     params = _params(args)
-    suites = [args.suite] if args.suite != "all" else ["counts", "purity", "bijection",
-                                                       "shelling", "homology"]
-    checks: list[dict] = []
-    for suite in suites:
-        if suite == "counts":
-            checks.extend(_suite_counts(params, args.max_faces))
-        elif suite == "purity":
-            checks.extend(_suite_purity(params, args.max_faces))
-        elif suite == "bijection":
-            checks.extend(_suite_bijection(params, args.max_faces))
-        elif suite == "shelling":
-            checks.extend(_suite_shelling(params, args.max_faces, args.max_states))
-        elif suite == "homology":
-            checks.extend(_suite_homology(params, args.max_faces))
+    analysis = _Analysis(params, args.max_faces, args.max_states)
+    suites = list(SUITE_CHECKS) if args.suite == "all" else [args.suite]
+    checks = [check for suite in suites for check in SUITE_CHECKS[suite](analysis)]
     failures = sum(1 for c in checks if c["status"] == "fail")
     result = {"suite": args.suite, "checks": checks, "failures": failures}
     lines = []
@@ -576,10 +572,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (FaceDocumentError, MalformedFaceError, InvalidImageError, NotAFaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (FaceDocumentError, MalformedFaceError, InvalidImageError, NotAFaceError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PolydissectError as exc:

@@ -211,8 +211,18 @@ def diameter_count(face: Face) -> int:
 
 
 def abstract_facets(table: FaceTable) -> list[frozenset[int]]:
-    """Facets as frozensets of canonical vertex indices."""
-    return [frozenset(ix) for ix in table.by_cardinality[-1]]
+    """Maximal faces of the table as frozensets of canonical vertex indices.
+
+    A k-face is maximal when it is no k-subset of a (k+1)-face.  The table
+    is closed under subsets and lists each face as an increasing index tuple,
+    so this finds facets of every size, not only those of top cardinality.
+    """
+    out: list[frozenset[int]] = []
+    levels = table.by_cardinality
+    for level, above in zip(levels, levels[1:] + [[]]):
+        covered = {ix[:j] + ix[j + 1:] for ix in above for j in range(len(ix))}
+        out.extend(frozenset(ix) for ix in level if ix not in covered)
+    return out
 
 
 def decomposition_priority(params: PolygonParams, vertices: list[Diagonal]) -> dict[int, int]:

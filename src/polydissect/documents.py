@@ -40,7 +40,8 @@ def params_from_document(doc: dict) -> PolygonParams:
     family, m, n = doc["family"], doc["m"], doc["n"]
     if family not in (FAMILY_A, FAMILY_B):
         raise FaceDocumentError(f"family must be 'A' or 'B', got {family!r}")
-    if not isinstance(m, int) or not isinstance(n, int):
+    # `type(...) is int` because a JSON boolean passes isinstance(..., int)
+    if type(m) is not int or type(n) is not int:
         raise FaceDocumentError(f"m and n must be integers, got m={m!r}, n={n!r}")
     try:
         return PolygonParams(family, m, n)
@@ -52,7 +53,7 @@ def diagonal_from_labels(params: PolygonParams, pair) -> Diagonal:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(x, int) for x in pair)
+        or not all(type(x) is int for x in pair)  # no JSON booleans
     ):
         raise FaceDocumentError(f"diagonal {pair!r} must be a pair of integer labels")
     tag = list(pair)

@@ -2,10 +2,10 @@
 
 A complex is stored by its facet antichain.  The module provides the face
 operations (deletion, link, join, cone), a memoized search for vertex
-decompositions, an independent certificate verifier, and the derivation of a
-shelling order from a certificate together with a checker for the shelling
-condition: each facet after the first must meet the union of its
-predecessors in a nonempty pure complex of codimension one.
+decompositions, one iterative walk that checks a certificate independently
+of the search and derives the shelling order it induces, and a checker for
+the shelling condition: each facet after the first must meet the union of
+its predecessors in a nonempty pure complex of codimension one.
 """
 
 from __future__ import annotations
@@ -66,10 +66,7 @@ class AbstractComplex:
     @property
     def vertices(self) -> tuple:
         if self._vertices is None:
-            ground = set()
-            for f in self.facets:
-                ground |= f
-            self._vertices = tuple(sort_vertices(ground))
+            self._vertices = tuple(sort_vertices(set().union(*self.facets)))
         return self._vertices
 
     @property
@@ -244,9 +241,7 @@ def find_vertex_decomposition(
             for v in f:
                 sub = f - {v}
                 cover[sub] = cover.get(sub, 0) + 1
-        ground = set()
-        for f in facets:
-            ground |= f
+        ground = set().union(*facets)
 
         result: Optional[Certificate] = None
         for v in candidate_order(ground):
@@ -274,28 +269,8 @@ def find_vertex_decomposition(
 
 
 def verify_vertex_decomposition(complex_: AbstractComplex, cert: Certificate) -> bool:
-    """Recompute every deletion and link named by the certificate and check
-    purity and dimensions at each step."""
-    if not complex_.is_pure():
-        return False
-    if isinstance(cert, DecompositionLeaf):
-        return len(complex_.facets) <= 1
-    if not isinstance(cert, DecompositionNode):
-        return False
-    v = cert.vertex
-    if not complex_.has_face([v]):
-        return False
-    lk = link(complex_, [v])
-    if cert.deletion is None:
-        if any(v not in f for f in complex_.facets):
-            return False
-        return verify_vertex_decomposition(lk, cert.link)
-    dl = deletion(complex_, [v])
-    if not dl.facets or dl.dim != complex_.dim or lk.dim != complex_.dim - 1:
-        return False
-    return verify_vertex_decomposition(dl, cert.deletion) and verify_vertex_decomposition(
-        lk, cert.link
-    )
+    """True when `shelling_from_decomposition` accepts every step of `cert`."""
+    return shelling_from_decomposition(complex_, cert) is not None
 
 
 # -- shellings -----------------------------------------------------------------
@@ -321,17 +296,41 @@ class ShellingOrder:
 
 def shelling_from_decomposition(
     complex_: AbstractComplex, cert: Certificate
-) -> list[frozenset]:
-    """Facet order induced by a decomposition: deleted part first, then the
-    facets through the shed vertex in the order of its link's shelling."""
-    if isinstance(cert, DecompositionLeaf):
-        return list(complex_.facets)
-    v = cert.vertex
-    coned = [f | {v} for f in shelling_from_decomposition(link(complex_, [v]), cert.link)]
-    if cert.deletion is None:
-        return coned
-    first = shelling_from_decomposition(deletion(complex_, [v]), cert.deletion)
-    return first + coned
+) -> Optional[list[frozenset]]:
+    """Check a certificate in one stack-driven walk; its facet order, or None.
+
+    Shedding v splits the facets: the link is f - {v} for each facet f through
+    v, the deletion is the facets avoiding v; both stay pure antichains, so no
+    complex is built.  Checks: a pure root; v in a facet; a cone step with no
+    facet avoiding v; a shedding step with each f - {v} in a facet avoiding v;
+    a leaf with at most one facet.  Order: deletion's, then link's coned with v.
+    """
+    if not complex_.is_pure():
+        return None
+    order, stack = [], [(list(complex_.facets), cert, frozenset())]  # apex: vertices to cone on
+    while stack:
+        facets, node, apex = stack.pop()
+        if isinstance(node, DecompositionLeaf) and len(facets) <= 1:
+            order.extend(f | apex for f in facets)
+            continue
+        if not isinstance(node, DecompositionNode):
+            return None  # not a certificate, or a leaf with several facets
+        v = node.vertex
+        inside = [f - {v} for f in facets if v in f]
+        outside = [f for f in facets if v not in f]
+        if not inside or (node.deletion is None) == bool(outside):
+            return None  # v in no facet, or not the step (cone or shedding) it claims
+        missing = set(inside) if outside else set()
+        for g in outside:
+            if not missing:
+                break
+            missing -= {g - {u} for u in g}
+        if missing:
+            return None  # some f - {v} is in no facet avoiding v: the deletion is impure
+        stack.append((inside, node.link, apex | {v}))
+        if outside:
+            stack.append((outside, node.deletion, apex))  # popped, so ordered, first
+    return order
 
 
 def verify_shelling(complex_: AbstractComplex, order: list[frozenset]) -> ShellingOrder:

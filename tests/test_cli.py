@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from polydissect import cli, simplicial
 from polydissect.cli import main
 
 OK, VIOLATION, USAGE, RESOURCE = 0, 1, 2, 3
@@ -178,6 +179,39 @@ def test_verify_single_suite(capsys):
     assert result["failures"] == 0
     names = [c["name"] for c in result["checks"]]
     assert "homology.betti-wedge-of-spheres" in names
+
+
+def test_verify_enumerates_at_most_once(monkeypatch, capsys):
+    calls = []
+    enumerate_faces = cli.enumerate_faces
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_faces(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_faces", counted)
+    code, _, _ = run(capsys, "verify", "--family", "B", "--m", "1", "--n", "3", "--suite", "all")
+    assert code == OK
+    assert len(calls) == 1
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "--family", "A", "--m", "2", "--n", "3",
+                     "--suite", "bijection")
+    assert code == OK
+    assert calls == []
+
+
+def test_shelling_builds_only_the_root_complex(monkeypatch, capsys):
+    built = []
+    init = simplicial.AbstractComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(simplicial.AbstractComplex, "__init__", counted)
+    code, _, _ = run(capsys, "shelling", "--family", "B", "--m", "2", "--n", "3")
+    assert code == OK
+    assert len(built) == 1
 
 
 def test_bad_inputs_exit_with_usage_code(tmp_path, capsys):

@@ -9,6 +9,7 @@ from polydissect.complexes import (
     DEFAULT_MAX_FACES,
     MAX_FACES_ENV,
     Face,
+    FaceTable,
     abstract_facets,
     check_pure,
     decomposition_priority,
@@ -183,6 +184,14 @@ def test_abstract_facets_reference_vertex_indices():
     for f in afs:
         union |= f
     assert union == set(range(len(table.vertices)))
+
+
+def test_abstract_facets_are_the_maximal_faces_of_an_impure_table():
+    # the edge {0,1} and the isolated vertex 2: a facet below top cardinality
+    params = PolygonParams(FAMILY_A, 1, 3)
+    table = FaceTable(params, all_diagonals(params)[:3], [[()], [(0,), (1,), (2,)], [(0, 1)]])
+    assert sorted(abstract_facets(table), key=sorted) == [frozenset({0, 1}), frozenset({2})]
+    assert abstract_facets(FaceTable(params, [], [[()]])) == [frozenset()]
 
 
 def test_decomposition_priority_covers_all_vertices_and_prefers_corners():

@@ -102,6 +102,20 @@ def test_malformed_documents_are_rejected():
         load_face("[1, 2, 3]")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family":"B","m":true,"n":2,"diagonals":[[true,-1]]}',
+        '{"family":"B","m":2,"n":true,"diagonals":[]}',
+        '{"family":"B","m":1,"n":2,"diagonals":[[true,-1]]}',
+    ],
+)
+def test_json_booleans_are_not_integers(text):
+    # isinstance(True, int) holds, so without a bool check m=true loads as m=1
+    with pytest.raises(FaceDocumentError):
+        load_face(text)
+
+
 def test_crossing_faces_are_rejected():
     doc = {"family": "B", "m": 1, "n": 2, "diagonals": [[1, 3], [2, -2]]}
     with pytest.raises(FaceDocumentError):

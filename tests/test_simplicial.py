@@ -1,6 +1,8 @@
 """Abstract complex operations, decomposition certificates, shellings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydissect import counting
 from polydissect.complexes import abstract_facets, decomposition_priority, enumerate_faces
@@ -274,3 +276,114 @@ def test_facet_lines_round_trip():
     assert format_facet_lines(cx([])) == ""
     mixed = parse_facet_lines("a b\n\n  c d  \n")
     assert mixed == cx([("a", "b"), ("c", "d")])
+
+
+# -- the certificate walk against the recursive verifier it replaced -----------
+
+
+def oracle_verify(c, cert):
+    """Recursive verifier built from the public deletion and link."""
+    if not c.is_pure():
+        return False
+    if isinstance(cert, DecompositionLeaf):
+        return len(c.facets) <= 1
+    if not isinstance(cert, DecompositionNode):
+        return False
+    v = cert.vertex
+    if not c.has_face([v]):
+        return False
+    lk = link(c, [v])
+    if cert.deletion is None:
+        return all(v in f for f in c.facets) and oracle_verify(lk, cert.link)
+    dl = deletion(c, [v])
+    if not dl.facets or dl.dim != c.dim or lk.dim != c.dim - 1:
+        return False
+    return oracle_verify(dl, cert.deletion) and oracle_verify(lk, cert.link)
+
+
+def oracle_order(c, cert):
+    """Recursive induced order; meaningful only for a verified certificate."""
+    if isinstance(cert, DecompositionLeaf):
+        return list(c.facets)
+    v = cert.vertex
+    coned = [f | {v} for f in oracle_order(link(c, [v]), cert.link)]
+    if cert.deletion is None:
+        return coned
+    return oracle_order(deletion(c, [v]), cert.deletion) + coned
+
+
+def mutants(cert):
+    """Certificates that differ from `cert` by one mutation at one node."""
+    leaf = DecompositionLeaf()
+    if isinstance(cert, DecompositionLeaf):
+        yield DecompositionNode(0, leaf, None)
+        yield DecompositionNode(0, leaf, leaf)
+        return
+    v, lk, dl = cert.vertex, cert.link, cert.deletion
+    yield leaf  # pretend leaf
+    yield DecompositionNode(99, lk, dl)  # wrong vertex, in no facet
+    yield DecompositionNode((v + 1) % 6, lk, dl)  # wrong vertex, maybe in a facet
+    yield DecompositionNode(v, lk, None)  # pretend cone
+    yield DecompositionNode(v, lk, leaf)  # truncated deletion
+    for m in mutants(lk):
+        yield DecompositionNode(v, m, dl)
+    if dl is not None:
+        for m in mutants(dl):
+            yield DecompositionNode(v, lk, m)
+
+
+any_facets = st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=7)
+pure_facets = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.frozensets(st.integers(0, 5), min_size=k, max_size=k), max_size=8)
+)
+random_certificates = st.recursive(
+    st.just(DecompositionLeaf()),
+    lambda sub: st.builds(DecompositionNode, st.integers(0, 6), sub, st.none() | sub),
+    max_leaves=8,
+)
+
+
+def plausible_certificate(facets, draw):
+    """Sheds a vertex of some facet at each step and claims a cone exactly when
+    every facet contains it, but ignores whether the deletion is pure."""
+    if len(facets) <= 1:
+        return DecompositionLeaf()
+    v = draw(st.sampled_from(sorted(set().union(*facets))))
+    inside = [f - {v} for f in facets if v in f]
+    outside = [f for f in facets if v not in f]
+    return DecompositionNode(
+        v,
+        plausible_certificate(inside, draw),
+        plausible_certificate(outside, draw) if outside else None,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(any_facets, pure_facets), random_certificates, st.data())
+def test_walk_matches_recursive_oracle(facets, random_cert, data):
+    c = AbstractComplex(facets)
+    found = find_vertex_decomposition(c)
+    certs = [random_cert, plausible_certificate(list(c.facets), data.draw)]
+    if found is not None:
+        certs += [found, *mutants(found)]
+    for cert in certs:
+        verdict = oracle_verify(c, cert)
+        order = shelling_from_decomposition(c, cert)
+        assert (order is not None) == verdict == verify_vertex_decomposition(c, cert)
+        if verdict:
+            assert order == oracle_order(c, cert)
+    if found is not None:
+        assert shelling_from_decomposition(c, found) is not None
+
+
+def test_deep_certificate_walks_without_recursion():
+    # shed 3000 isolated vertices one at a time: 2999 shedding steps, then a leaf
+    n = 3000
+    c = AbstractComplex([v] for v in range(n))
+    cert = DecompositionLeaf()
+    for v in reversed(range(n - 1)):
+        cert = DecompositionNode(v, DecompositionLeaf(), cert)
+    order = shelling_from_decomposition(c, cert)
+    assert order == [frozenset({v}) for v in reversed(range(n))]
+    assert verify_vertex_decomposition(c, cert)
+    assert len(verify_shelling(c, order).restrictions) == n
