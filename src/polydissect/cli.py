@@ -267,7 +267,7 @@ def cmd_homology(args) -> int:
         params_doc = _params_dict(params)
         expected = _expected_betti(params)
 
-    betti = homology.reduced_betti(comp)
+    betti = homology.reduced_betti(comp, args.max_faces)
     result = {"reduced_betti": list(betti)}
     lines = ["reduced Betti numbers: " + (" ".join(map(str, betti)) if betti else "(none)")]
     code = EXIT_OK
@@ -433,7 +433,7 @@ def _suite_shelling(analysis: _Analysis) -> list[dict]:
 
 def _suite_homology(analysis: _Analysis) -> list[dict]:
     params = analysis.params
-    betti = homology.reduced_betti(analysis.complex)
+    betti = homology.reduced_betti(analysis.complex, analysis.max_faces)
     expected = _expected_betti(params)
     checks = [
         _check("homology.betti-wedge-of-spheres", betti == expected, list(expected), list(betti))

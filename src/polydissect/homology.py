@@ -2,14 +2,17 @@
 
 Chains are indexed by the faces of the complex in canonical sorted order,
 with the empty face as the basis of degree -1, so the degree-0 boundary map
-is the all-ones augmentation row.  Betti numbers come from exact integer
-ranks of the boundary matrices, computed by fraction-free (one-step
-division) Gaussian elimination; every division is checked to be exact.
+is the all-ones augmentation row.  Betti numbers come from exact ranks of
+the sparse boundary matrices, computed by integer column reduction: each
+column's pivot is its lowest nonzero row, and a column whose pivot is taken
+is cancelled against the owner of that pivot with integer multipliers, then
+divided by the gcd of its entries.  No division is ever inexact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .simplicial import AbstractComplex, faces_by_dimension
 
@@ -23,19 +26,16 @@ class BoundaryMatrix:
     cols: list[tuple]
     entries: dict[tuple[int, int], int] = field(repr=False)
 
-    def dense(self) -> list[list[int]]:
-        out = [[0] * len(self.cols) for _ in self.rows]
-        for (i, j), sign in self.entries.items():
-            out[i][j] = sign
-        return out
 
-
-def boundary_matrix(complex_: AbstractComplex, k: int) -> BoundaryMatrix:
+def boundary_matrix(
+    complex_: AbstractComplex, k: int, max_faces: int | None = None
+) -> BoundaryMatrix:
     """Boundary map in degree k; faces are sorted tuples, signs alternate by
-    the index of the dropped vertex."""
+    the index of the dropped vertex.  `max_faces` bounds the face closure
+    (see `faces_by_dimension`)."""
     if k < 0:
         raise ValueError(f"boundary degree must be >= 0, got {k}")
-    fbd = faces_by_dimension(complex_)
+    fbd = faces_by_dimension(complex_, max_faces)
     rows = fbd.get(k - 1, [])
     cols = fbd.get(k, [])
     row_index = {face: i for i, face in enumerate(rows)}
@@ -47,45 +47,56 @@ def boundary_matrix(complex_: AbstractComplex, k: int) -> BoundaryMatrix:
     return BoundaryMatrix(k, rows, cols, entries)
 
 
-def matrix_rank(mat: list[list[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    work = [row[:] for row in mat]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, nrows) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        top = work[rank]
-        for i in range(rank + 1, nrows):
-            row = work[i]
-            factor = row[col]
-            for j in range(col + 1, ncols):
-                num = pivot * row[j] - factor * top[j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row[j] = q
-            row[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def matrix_rank(entries: dict[tuple[int, int], int]) -> int:
+    """Exact rank of a sparse integer matrix given as {(row, col): value}.
+
+    Zero values are dropped first, since a pivot must be nonzero.  Columns
+    are reduced left to right.  A column whose lowest row is already the
+    pivot of an earlier column c becomes a*col - b*c, with a and b the two
+    pivot entries divided by their gcd, which clears that row; the result is
+    divided by the gcd of its entries.  The rank is the number of columns
+    left nonzero, whose pivots are distinct.
+    """
+    columns: dict[int, dict[int, int]] = {}
+    for (i, j), x in entries.items():
+        if x:
+            columns.setdefault(j, {})[i] = x
+    owners: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
+    for j in sorted(columns):
+        col = columns[j]
+        while col:
+            low = max(col)
+            pivot_col = owners.get(low)
+            if pivot_col is None:
+                owners[low] = col
+                break
+            g = gcd(pivot_col[low], col[low])
+            a, b = pivot_col[low] // g, col[low] // g
+            reduced = {i: a * x for i, x in col.items()}
+            for i, y in pivot_col.items():
+                x = reduced.get(i, 0) - b * y
+                if x:
+                    reduced[i] = x
+                else:
+                    del reduced[i]
+            content = gcd(*reduced.values())
+            if content > 1:
+                reduced = {i: x // content for i, x in reduced.items()}
+            col = reduced
+    return len(owners)
 
 
-def reduced_betti(complex_: AbstractComplex) -> tuple[int, ...]:
-    """Reduced Betti numbers (b_0, ..., b_dim) over the rationals."""
-    fbd = faces_by_dimension(complex_)
+def reduced_betti(complex_: AbstractComplex, max_faces: int | None = None) -> tuple[int, ...]:
+    """Reduced Betti numbers (b_0, ..., b_dim) over the rationals.
+
+    Raises ResourceLimitError when the face closure exceeds `max_faces`
+    (default `complexes.max_faces_bound()`)."""
+    fbd = faces_by_dimension(complex_, max_faces)
     if not fbd:
         return ()
     dim = max(fbd)
     if dim < 0:
         return ()
-    ranks = [matrix_rank(boundary_matrix(complex_, k).dense()) for k in range(dim + 1)]
+    ranks = [matrix_rank(boundary_matrix(complex_, k, max_faces).entries) for k in range(dim + 1)]
     ranks.append(0)  # no chains above the top dimension
     return tuple(len(fbd[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
+from .complexes import max_faces_bound
 from .errors import NotAFaceError, ResourceLimitError, ShellingError
 
 DEFAULT_MAX_STATES = 500_000
@@ -59,7 +60,17 @@ class AbstractComplex:
 
     def __init__(self, faces: Iterable[Iterable] = ()):
         sets = {frozenset(f) for f in faces}
-        maximal = [f for f in sets if not any(f < g for g in sets)]
+        # every proper superset of a face contains the face's rarest vertex,
+        # so only the sets holding that vertex are tested (all sets for the
+        # empty face, which is maximal only when it is the sole face)
+        holders: dict = {}
+        for g in sets:
+            for v in g:
+                holders.setdefault(v, []).append(g)
+        maximal = [
+            f for f in sets
+            if not any(f < g for g in min((holders[v] for v in f), key=len, default=sets))
+        ]
         self.facets: tuple[frozenset, ...] = tuple(sorted_facets(maximal))
         self._vertices: Optional[tuple] = None
 
@@ -127,18 +138,35 @@ def cone(complex_: AbstractComplex, apex) -> AbstractComplex:
     return join(complex_, AbstractComplex([[apex]]))
 
 
-def faces_by_dimension(complex_: AbstractComplex) -> dict[int, list[tuple]]:
-    """All faces, keyed by dimension, each list sorted; includes dim -1."""
+def faces_by_dimension(
+    complex_: AbstractComplex, max_faces: int | None = None
+) -> dict[int, list[tuple]]:
+    """All faces, keyed by dimension, each list sorted; includes dim -1.
+
+    Raises ResourceLimitError when the closure would hold more faces than
+    `complexes.max_faces_bound(max_faces)`: a facet of k vertices is refused
+    before its 2**k subsets are built, and the running total after each one.
+    """
     if not complex_.facets:
         return {}
+    bound = max_faces_bound(max_faces)
     # one global vertex order keeps every subset's tuple form unique, even
     # when facets mix vertex types that are not mutually comparable
     order = {v: i for i, v in enumerate(complex_.vertices)}
     closure: set[tuple] = set()
     for f in complex_.facets:
-        members = sorted(f, key=order.__getitem__)
-        for k in range(len(members) + 1):
-            closure.update(combinations(members, k))
+        projected = 2 ** len(f)
+        if projected <= bound:
+            members = sorted(f, key=order.__getitem__)
+            for k in range(len(members) + 1):
+                closure.update(combinations(members, k))
+            projected = len(closure)
+        if projected > bound:
+            raise ResourceLimitError(
+                f"face closure has at least {projected} faces, over bound {bound}",
+                projected=projected,
+                bound=bound,
+            )
     out: dict[int, list[tuple]] = {}
     for face in closure:
         out.setdefault(len(face) - 1, []).append(face)

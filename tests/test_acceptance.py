@@ -143,8 +143,8 @@ def test_criterion_06_decomposition_and_shelling_everywhere():
 def test_criterion_07_homology_is_a_wedge_of_top_spheres():
     started = time.perf_counter()
     ok = True
-    cases = [(FAMILY_A, m, n) for m in (1, 2) for n in (1, 2, 3, 4)] + [
-        (FAMILY_B, m, n) for m in (1, 2) for n in (1, 2, 3)
+    cases = [(FAMILY_A, m, n) for m in (1, 2) for n in (1, 2, 3, 4, 5)] + [
+        (FAMILY_B, m, n) for m in (1, 2) for n in (1, 2, 3, 4)
     ]
     computed = {}
     for fam, m, n in cases:

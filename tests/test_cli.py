@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -231,6 +232,35 @@ def test_resource_limit_exits_three(capsys):
                        "--max-faces", "100")
     assert code == RESOURCE
     assert "resource limit" in err
+
+
+def test_imported_facet_closure_honours_the_face_bound(tmp_path, monkeypatch, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text(" ".join(f"x{i}" for i in range(12)) + "\n")  # 4096 faces
+    code, out, err = run(capsys, "homology", "--facets-file", str(wide), "--max-faces", "1000")
+    assert (code, out) == (RESOURCE, "")
+    assert "resource limit" in err and "1000" in err
+    assert run(capsys, "homology", "--facets-file", str(wide), "--max-faces", "4096")[0] == OK
+    monkeypatch.setenv("POLYDISSECT_MAX_FACES", "1000")
+    assert run(capsys, "homology", "--facets-file", str(wide))[0] == RESOURCE
+
+
+def test_huge_imported_facet_is_refused_before_expansion(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(" ".join(f"x{i}" for i in range(40)) + "\n")  # 2**40 faces
+    started = time.perf_counter()
+    code, _, err = run(capsys, "homology", "--facets-file", str(huge))
+    assert code == RESOURCE
+    assert "resource limit" in err
+    assert time.perf_counter() - started < 5
+
+
+def test_homology_of_a_long_imported_path(tmp_path, capsys):
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"p{i} p{i + 1}\n" for i in range(3000)))
+    code, out, _ = run(capsys, "homology", "--facets-file", str(path), "--format", "json")
+    assert code == OK
+    assert json.loads(out)["result"]["reduced_betti"] == [0, 0]
 
 
 def test_conflicting_source_options_exit_two(capsys):

@@ -21,6 +21,7 @@ from polydissect.simplicial import (
     link,
     parse_facet_lines,
     shelling_from_decomposition,
+    sorted_facets,
     verify_shelling,
     verify_vertex_decomposition,
 )
@@ -104,6 +105,25 @@ def test_faces_by_dimension():
     assert len(by_dim[-1]) == 1
     assert len(by_dim[0]) == 5
     assert len(by_dim[1]) == 5
+
+
+def test_faces_by_dimension_honours_the_face_bound(monkeypatch):
+    simplex = cx([range(10)])  # 1024 faces
+    assert sum(map(len, faces_by_dimension(simplex, 1024).values())) == 1024
+    with pytest.raises(ResourceLimitError) as exc:
+        faces_by_dimension(simplex, 1023)
+    assert (exc.value.projected, exc.value.bound) == (1024, 1023)
+    # each facet fits; their closure does not
+    path = cx([(i, i + 1) for i in range(50)])  # 1 + 51 + 50 faces
+    assert sum(map(len, faces_by_dimension(path, 102).values())) == 102
+    with pytest.raises(ResourceLimitError) as exc:
+        faces_by_dimension(path, 60)
+    assert exc.value.bound == 60 and 60 < exc.value.projected <= 64
+    monkeypatch.setenv("POLYDISSECT_MAX_FACES", "1000")
+    with pytest.raises(ResourceLimitError):
+        faces_by_dimension(simplex)
+    with pytest.raises(ResourceLimitError):
+        faces_by_dimension(cx([range(60)]))  # refused before 2**60 subsets
 
 
 def test_five_cycle_decomposes_and_verifies():
@@ -374,6 +394,28 @@ def test_walk_matches_recursive_oracle(facets, random_cert, data):
             assert order == oracle_order(c, cert)
     if found is not None:
         assert shelling_from_decomposition(c, found) is not None
+
+
+def naive_facets(faces):
+    """The quadratic maximal-face filter, as the reference."""
+    sets = {frozenset(f) for f in faces}
+    return tuple(sorted_facets(f for f in sets if not any(f < g for g in sets)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=12),
+    st.lists(st.lists(st.sampled_from("abcdef"), max_size=4), max_size=10),
+))
+def test_maximal_faces_match_naive_filter(faces):
+    assert AbstractComplex(faces).facets == naive_facets(faces)
+
+
+def test_maximal_faces_edge_cases():
+    assert cx([]).facets == ()
+    assert cx([(), ()]).facets == (frozenset(),)
+    assert cx([(), (3,)]).facets == (frozenset({3}),)
+    assert cx([(0, 1), (1,), (0, 1), (2,), ()]).facets == (frozenset({2}), frozenset({0, 1}))
 
 
 def test_deep_certificate_walks_without_recursion():
