@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a verified invariant is violated (a counterexample
-is reported), 2 usage or input errors, 3 resource limits.  Reports are
+is reported), 2 usage or input errors, 3 resource limits, 4 an internal limit
+of the interpreter (recursion depth or memory) was hit.  Reports are
 deterministic: repeated runs print identical bytes unless --timing is given.
 """
 
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _params(args) -> PolygonParams:
@@ -579,6 +581,9 @@ def main(argv=None) -> int:
     except PolydissectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except (RecursionError, MemoryError) as exc:
+        print(f"internal limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

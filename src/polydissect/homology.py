@@ -27,6 +27,17 @@ class BoundaryMatrix:
     entries: dict[tuple[int, int], int] = field(repr=False)
 
 
+def _boundary_entries(fbd: dict[int, list[tuple]], k: int) -> dict[tuple[int, int], int]:
+    """Signed entries of the degree-k boundary map of the face closure `fbd`."""
+    row_index = {face: i for i, face in enumerate(fbd.get(k - 1, []))}
+    entries: dict[tuple[int, int], int] = {}
+    for j, face in enumerate(fbd.get(k, [])):
+        for pos in range(len(face)):
+            sub = face[:pos] + face[pos + 1 :]
+            entries[(row_index[sub], j)] = -1 if pos % 2 else 1
+    return entries
+
+
 def boundary_matrix(
     complex_: AbstractComplex, k: int, max_faces: int | None = None
 ) -> BoundaryMatrix:
@@ -36,15 +47,7 @@ def boundary_matrix(
     if k < 0:
         raise ValueError(f"boundary degree must be >= 0, got {k}")
     fbd = faces_by_dimension(complex_, max_faces)
-    rows = fbd.get(k - 1, [])
-    cols = fbd.get(k, [])
-    row_index = {face: i for i, face in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, face in enumerate(cols):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1 :]
-            entries[(row_index[sub], j)] = -1 if pos % 2 else 1
-    return BoundaryMatrix(k, rows, cols, entries)
+    return BoundaryMatrix(k, fbd.get(k - 1, []), fbd.get(k, []), _boundary_entries(fbd, k))
 
 
 def matrix_rank(entries: dict[tuple[int, int], int]) -> int:
@@ -87,7 +90,8 @@ def matrix_rank(entries: dict[tuple[int, int], int]) -> int:
 
 
 def reduced_betti(complex_: AbstractComplex, max_faces: int | None = None) -> tuple[int, ...]:
-    """Reduced Betti numbers (b_0, ..., b_dim) over the rationals.
+    """Reduced Betti numbers (b_0, ..., b_dim) over the rationals, from one
+    face closure shared by every degree.
 
     Raises ResourceLimitError when the face closure exceeds `max_faces`
     (default `complexes.max_faces_bound()`)."""
@@ -97,6 +101,6 @@ def reduced_betti(complex_: AbstractComplex, max_faces: int | None = None) -> tu
     dim = max(fbd)
     if dim < 0:
         return ()
-    ranks = [matrix_rank(boundary_matrix(complex_, k, max_faces).entries) for k in range(dim + 1)]
+    ranks = [matrix_rank(_boundary_entries(fbd, k)) for k in range(dim + 1)]
     ranks.append(0)  # no chains above the top dimension
     return tuple(len(fbd[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))

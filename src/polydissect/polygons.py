@@ -20,7 +20,7 @@ length congruent to 1 mod m and short enough to leave a symmetric middle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 FAMILY_A = "A"
 FAMILY_B = "B"
@@ -282,8 +282,3 @@ def all_diagonals(params: PolygonParams) -> list[Diagonal]:
     out.sort(key=lambda d: d.sort_key)
     return out
 
-
-def iter_label_pairs(d: Diagonal, params: PolygonParams) -> Iterator[tuple[int, int]]:
-    """Signed label pairs of each constituent chord."""
-    for c in d.constituents(params):
-        yield params.label_of_position(c.a), params.label_of_position(c.b)

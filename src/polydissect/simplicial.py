@@ -1,11 +1,14 @@
 """Abstract simplicial complexes on opaque, sortable vertex identities.
 
-A complex is stored by its facet antichain.  The module provides the face
-operations (deletion, link, join, cone), a memoized search for vertex
-decompositions, one iterative walk that checks a certificate independently
-of the search and derives the shelling order it induces, and a checker for
-the shelling condition: each facet after the first must meet the union of
-its predecessors in a nonempty pure complex of codimension one.
+A complex is stored by its facet antichain, and its sorted `vertices` tuple
+is the one vertex order: facets sort by the positions of their vertices in
+it, and the memoized search for vertex decompositions runs on those
+positions, naming vertices only in the certificate it returns.  The module
+also provides the face operations (deletion, link, join, cone), one
+iterative walk that checks a certificate independently of the search and
+derives the shelling order it induces, and a checker for the shelling
+condition: each facet after the first must meet the union of its
+predecessors in a nonempty pure complex of codimension one.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ from .errors import NotAFaceError, ResourceLimitError, ShellingError
 DEFAULT_MAX_STATES = 500_000
 
 
-def _vkey(v) -> tuple[str, str]:
-    return (v.__class__.__name__, repr(v))
-
-
 def sort_vertices(items: Iterable) -> list:
     """Deterministic vertex order; falls back to a typed key when the values
     are not mutually comparable (e.g. after coning an int complex over a
@@ -32,31 +31,28 @@ def sort_vertices(items: Iterable) -> list:
     try:
         return sorted(items)
     except TypeError:
-        return sorted(items, key=_vkey)
+        return sorted(items, key=lambda v: (v.__class__.__name__, repr(v)))
 
 
 def sorted_facets(facets: Iterable[frozenset]) -> list[frozenset]:
-    """Deterministic facet order: by cardinality, then vertex content."""
+    """Deterministic facet order: by cardinality, then by the positions of the
+    facet's vertices in the `sort_vertices` order of all vertices."""
     facets = list(facets)
-    try:
-        return sorted(facets, key=lambda f: (len(f), tuple(sorted(f))))
-    except TypeError:
-        return sorted(
-            facets, key=lambda f: (len(f), tuple(_vkey(v) for v in sort_vertices(f)))
-        )
+    pos = {v: i for i, v in enumerate(sort_vertices(set().union(*facets)))}
+    return sorted(facets, key=lambda f: (len(f), sorted(map(pos.__getitem__, f))))
 
 
 class AbstractComplex:
     """Finite simplicial complex given by its facets.
 
-    Vertices may be any hashable, mutually sortable values (ints, strings).
-    Faces passed to the constructor are closed downward implicitly: only the
+    Vertices may be any hashable, mutually sortable values (ints, strings);
+    `vertices` holds them in `sort_vertices` order.  Faces passed to the constructor are closed downward implicitly: only the
     maximal ones are kept.  The void complex (no faces at all) has an empty
     facet tuple; the complex whose only face is empty has the single facet
     frozenset().
     """
 
-    __slots__ = ("facets", "_vertices")
+    __slots__ = ("facets", "vertices")
 
     def __init__(self, faces: Iterable[Iterable] = ()):
         sets = {frozenset(f) for f in faces}
@@ -72,13 +68,7 @@ class AbstractComplex:
             if not any(f < g for g in min((holders[v] for v in f), key=len, default=sets))
         ]
         self.facets: tuple[frozenset, ...] = tuple(sorted_facets(maximal))
-        self._vertices: Optional[tuple] = None
-
-    @property
-    def vertices(self) -> tuple:
-        if self._vertices is None:
-            self._vertices = tuple(sort_vertices(set().union(*self.facets)))
-        return self._vertices
+        self.vertices: tuple = tuple(sort_vertices(holders))
 
     @property
     def dim(self) -> int:
@@ -92,10 +82,7 @@ class AbstractComplex:
 
     def impure_witness(self) -> Optional[frozenset]:
         """A facet of non-maximal cardinality, or None when pure."""
-        if self.is_pure():
-            return None
-        top = max(len(f) for f in self.facets)
-        return sorted_facets(f for f in self.facets if len(f) < top)[0]
+        return None if self.is_pure() else self.facets[0]  # facets sort by size first
 
     def has_face(self, face: Iterable) -> bool:
         s = frozenset(face)
@@ -195,35 +182,40 @@ class DecompositionNode:
 Certificate = Union[DecompositionLeaf, DecompositionNode]
 
 
-def _canonical_form(facets: list[frozenset]) -> tuple[tuple, dict]:
+def _canonical_form(facets: list[frozenset[int]]) -> tuple[tuple, dict[int, int]]:
     """Facet tuple after dense re-indexing of vertices, plus the renaming map.
 
-    Complexes that differ only by vertex names share a form, so memoized
-    certificates must be renamed through the map on the way in and out.
+    Complexes that differ only by vertex positions share a form, so a memoized
+    certificate is renamed through two maps when another complex reuses it.
     """
-    row_list = [tuple(sort_vertices(f)) for f in facets]
-    try:
-        rows = sorted(row_list)
-    except TypeError:
-        rows = sorted(row_list, key=lambda row: tuple(_vkey(v) for v in row))
-    index: dict = {}
+    rows = sorted(tuple(sorted(f)) for f in facets)
+    index: dict[int, int] = {}
     out = []
     for row in rows:
         for v in row:
-            if v not in index:
-                index[v] = len(index)
+            index.setdefault(v, len(index))
         out.append(tuple(sorted(index[v] for v in row)))
     return tuple(sorted(out)), index
 
 
-def _rename(cert: "Certificate", mapping: dict) -> "Certificate":
-    if isinstance(cert, DecompositionLeaf):
-        return cert
-    return DecompositionNode(
-        mapping[cert.vertex],
-        _rename(cert.link, mapping),
-        None if cert.deletion is None else _rename(cert.deletion, mapping),
-    )
+def _rename(cert: "Certificate", mapping) -> "Certificate":
+    """The certificate with each vertex v replaced by mapping[v]; `mapping`
+    is a dict, or the vertex tuple when v is a position in it."""
+    order, stack = [], [cert]
+    while stack:  # preorder, so each node comes before its link and deletion
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, DecompositionNode):
+            stack += (node.link, node.deletion)
+    renamed: dict[int, Optional[Certificate]] = {}
+    for node in reversed(order):  # children first
+        if isinstance(node, DecompositionNode):
+            renamed[id(node)] = DecompositionNode(
+                mapping[node.vertex], renamed[id(node.link)], renamed[id(node.deletion)]
+            )
+        else:
+            renamed[id(node)] = node  # a leaf, or the None deletion of a cone step
+    return renamed[id(cert)]
 
 
 def find_vertex_decomposition(
@@ -233,29 +225,31 @@ def find_vertex_decomposition(
 ) -> Optional[Certificate]:
     """Search for a vertex decomposition; None when the complex has none.
 
-    Candidate vertices are tried in `priority` order (missing vertices come
-    last, in natural order).  Subproblems are memoized on their canonical
-    key, successes and failures alike; the memo size is capped by
-    `max_states`.
+    The search runs on the positions of the vertices in `complex_.vertices`.
+    Candidates are tried in `priority` order (missing vertices come last),
+    ties in vertex order.  Subproblems are memoized on their canonical form,
+    successes and failures alike, and capped at `max_states`; a success is
+    stored as found, with its renaming map, and renamed only when another
+    subproblem reuses it.  The certificate names the complex's own vertices.
     """
+    names = complex_.vertices
     rank = priority or {}
-    memo: dict[tuple, Optional[Certificate]] = {}
+    candidate_key = [(rank.get(v, len(rank)), p) for p, v in enumerate(names)]
+    memo: dict[tuple, Optional[tuple[Certificate, dict[int, int]]]] = {}
     leaf = DecompositionLeaf()
 
-    def candidate_order(verts: Iterable) -> list:
-        return sorted(sort_vertices(verts), key=lambda v: rank.get(v, len(rank)))
-
-    def search(facets: list[frozenset]) -> Optional[Certificate]:
+    def search(facets: list[frozenset[int]]) -> Optional[Certificate]:
         if len(facets) <= 1:
             return leaf
         if len({len(f) for f in facets}) > 1:
             return None
         key, fwd = _canonical_form(facets)
         if key in memo:
-            stored = memo[key]
-            if stored is None:
+            if memo[key] is None:
                 return None
-            return _rename(stored, {c: a for a, c in fwd.items()})
+            cert, old = memo[key]
+            back = {c: p for p, c in fwd.items()}
+            return _rename(cert, {p: back[c] for p, c in old.items()})
         if len(memo) >= max_states:
             raise ResourceLimitError(
                 f"decomposition search exceeded {max_states} memoized states",
@@ -272,7 +266,7 @@ def find_vertex_decomposition(
         ground = set().union(*facets)
 
         result: Optional[Certificate] = None
-        for v in candidate_order(ground):
+        for v in sorted(ground, key=candidate_key.__getitem__):
             inside = [f for f in facets if v in f]
             outside = [f for f in facets if v not in f]
             if outside and any(cover[f - {v}] == 1 for f in inside):
@@ -290,10 +284,13 @@ def find_vertex_decomposition(
             result = DecompositionNode(v, cert_link, cert_del)
             break
 
-        memo[key] = None if result is None else _rename(result, fwd)
+        if result is not None:
+            memo[key] = (result, fwd)
         return result
 
-    return search(list(complex_.facets))
+    pos = {v: p for p, v in enumerate(names)}
+    found = search([frozenset(map(pos.__getitem__, f)) for f in complex_.facets])
+    return None if found is None else _rename(found, names)
 
 
 def verify_vertex_decomposition(complex_: AbstractComplex, cert: Certificate) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from polydissect import cli, simplicial
 from polydissect.cli import main
 
-OK, VIOLATION, USAGE, RESOURCE = 0, 1, 2, 3
+OK, VIOLATION, USAGE, RESOURCE, INTERNAL = 0, 1, 2, 3, 4
 
 
 def run(capsys, *argv):
@@ -261,6 +261,21 @@ def test_homology_of_a_long_imported_path(tmp_path, capsys):
     code, out, _ = run(capsys, "homology", "--facets-file", str(path), "--format", "json")
     assert code == OK
     assert json.loads(out)["result"]["reduced_betti"] == [0, 0]
+
+
+def test_recursion_limit_exits_four_without_traceback(tmp_path):
+    # the search sheds one isolated vertex per level, past the recursion limit
+    points = tmp_path / "points.txt"
+    points.write_text("".join(f"x{i}\n" for i in range(1500)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polydissect.cli", "shelling", "--facets-file", str(points)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (INTERNAL, "")
+    assert proc.stderr.startswith("internal limit: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_conflicting_source_options_exit_two(capsys):

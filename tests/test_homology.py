@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydissect import counting
+from polydissect import counting, homology
 from polydissect.complexes import abstract_facets, enumerate_faces
 from polydissect.homology import boundary_matrix, matrix_rank, reduced_betti
 from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams
-from polydissect.simplicial import AbstractComplex
+from polydissect.simplicial import AbstractComplex, faces_by_dimension
 
 
 def rank_oracle(mat):
@@ -182,6 +182,19 @@ def test_degree_zero_boundary_is_augmentation():
     assert b0.rows == [()]
     assert dense(b0) == [[1, 1, 1]]
     assert matrix_rank(b0.entries) == 1
+
+
+def test_reduced_betti_builds_the_face_closure_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return faces_by_dimension(*args)
+
+    monkeypatch.setattr(homology, "faces_by_dimension", counted)
+    params = PolygonParams(FAMILY_B, 2, 3)
+    assert reduced_betti(AbstractComplex(abstract_facets(enumerate_faces(params)))) == (0, 0, 20)
+    assert len(calls) == 1
 
 
 def test_boundary_rejects_negative_degree():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydissect import counting
+from polydissect import counting, simplicial
 from polydissect.complexes import abstract_facets, decomposition_priority, enumerate_faces
 from polydissect.errors import NotAFaceError, ResourceLimitError, ShellingError
 from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams
@@ -21,6 +21,7 @@ from polydissect.simplicial import (
     link,
     parse_facet_lines,
     shelling_from_decomposition,
+    sort_vertices,
     sorted_facets,
     verify_shelling,
     verify_vertex_decomposition,
@@ -143,15 +144,58 @@ def test_octahedron_boundary_decomposes():
     assert sh.h_vector(c.dim) == (1, 3, 3, 1)
 
 
-def test_memoized_certificates_stay_valid_across_relabelings():
+def counting_renames(monkeypatch):
+    calls = []
+
+    def counted(cert, mapping):
+        calls.append(cert)
+        return rename(cert, mapping)
+
+    rename = simplicial._rename
+    monkeypatch.setattr(simplicial, "_rename", counted)
+    return calls
+
+
+def test_memoized_certificates_stay_valid_across_relabelings(monkeypatch):
     # two isomorphic links with different vertex names force a memo hit;
     # the returned certificates must name each complex's own vertices
     params = PolygonParams(FAMILY_A, 1, 3)
     table = enumerate_faces(params)
     c = AbstractComplex(abstract_facets(table))
     prio = decomposition_priority(params, table.vertices)
+    renames = counting_renames(monkeypatch)
     cert = find_vertex_decomposition(c, prio)
     assert cert is not None
+    assert len(renames) > 1  # at least one memo hit, plus the final renaming
+    assert verify_vertex_decomposition(c, cert)
+
+
+def padded_path():
+    return AbstractComplex([f"p{i:03d}", f"p{i + 1:03d}"] for i in range(300)), None
+
+
+def generated_b23():
+    params = PolygonParams(FAMILY_B, 2, 3)
+    table = enumerate_faces(params)
+    return AbstractComplex(abstract_facets(table)), decomposition_priority(params, table.vertices)
+
+
+@pytest.mark.parametrize("make", [padded_path, generated_b23])
+def test_search_renames_only_on_memo_hits(monkeypatch, make):
+    c, prio = make()
+    keys = []
+
+    def recorded(facets):
+        out = canonical_form(facets)
+        keys.append(out[0])
+        return out
+
+    canonical_form = simplicial._canonical_form
+    monkeypatch.setattr(simplicial, "_canonical_form", recorded)
+    renames = counting_renames(monkeypatch)
+    cert = find_vertex_decomposition(c, prio)
+    hits = len(keys) - len(set(keys))  # a state's key recurs only on a memo hit
+    assert 1 <= len(renames) <= hits + 1  # the final renaming restores the names
     assert verify_vertex_decomposition(c, cert)
 
 
@@ -429,3 +473,126 @@ def test_deep_certificate_walks_without_recursion():
     assert order == [frozenset({v}) for v in reversed(range(n))]
     assert verify_vertex_decomposition(c, cert)
     assert len(verify_shelling(c, order).restrictions) == n
+
+
+# -- the position search against the name-based search it replaced -------------
+
+
+def oracle_vkey(v):
+    return (v.__class__.__name__, repr(v))
+
+
+def oracle_canonical_form(facets):
+    row_list = [tuple(sort_vertices(f)) for f in facets]
+    try:
+        rows = sorted(row_list)
+    except TypeError:
+        rows = sorted(row_list, key=lambda row: tuple(oracle_vkey(v) for v in row))
+    index = {}
+    out = []
+    for row in rows:
+        for v in row:
+            if v not in index:
+                index[v] = len(index)
+        out.append(tuple(sorted(index[v] for v in row)))
+    return tuple(sorted(out)), index
+
+
+def oracle_rename(cert, mapping):
+    if isinstance(cert, DecompositionLeaf):
+        return cert
+    return DecompositionNode(
+        mapping[cert.vertex],
+        oracle_rename(cert.link, mapping),
+        None if cert.deletion is None else oracle_rename(cert.deletion, mapping),
+    )
+
+
+def oracle_find(complex_, priority=None):
+    """The name-based memoized search, renaming every certificate it stores."""
+    rank = priority or {}
+    memo = {}
+    leaf = DecompositionLeaf()
+
+    def candidate_order(verts):
+        return sorted(sort_vertices(verts), key=lambda v: rank.get(v, len(rank)))
+
+    def search(facets):
+        if len(facets) <= 1:
+            return leaf
+        if len({len(f) for f in facets}) > 1:
+            return None
+        key, fwd = oracle_canonical_form(facets)
+        if key in memo:
+            stored = memo[key]
+            if stored is None:
+                return None
+            return oracle_rename(stored, {c: a for a, c in fwd.items()})
+        memo[key] = None
+
+        cover = {}
+        for f in facets:
+            for v in f:
+                sub = f - {v}
+                cover[sub] = cover.get(sub, 0) + 1
+        ground = set().union(*facets)
+
+        result = None
+        for v in candidate_order(ground):
+            inside = [f for f in facets if v in f]
+            outside = [f for f in facets if v not in f]
+            if outside and any(cover[f - {v}] == 1 for f in inside):
+                continue
+            link_facets = [f - {v} for f in inside]
+            cert_link = search(link_facets)
+            if cert_link is None:
+                continue
+            if not outside:
+                result = DecompositionNode(v, cert_link, None)
+                break
+            cert_del = search(outside)
+            if cert_del is None:
+                continue
+            result = DecompositionNode(v, cert_link, cert_del)
+            break
+
+        memo[key] = None if result is None else oracle_rename(result, fwd)
+        return result
+
+    return search(list(complex_.facets))
+
+
+NAMES = [f"v{i}" for i in range(10)]  # shuffled, so names do not sort as the ints they replace
+named_pure_facets = st.tuples(
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.frozensets(st.integers(0, 9), min_size=k, max_size=k),
+                           max_size=12)
+    ),
+    st.none() | st.permutations(NAMES),
+    st.none() | st.dictionaries(st.integers(0, 9), st.integers(0, 3), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(named_pure_facets)
+def test_search_matches_name_based_oracle(case):
+    facets, names, priority = case  # a priority may leave vertices out
+    if names is not None:
+        facets = [frozenset(names[v] for v in f) for f in facets]
+        priority = priority and {names[v]: r for v, r in priority.items()}
+    c = AbstractComplex(facets)
+    assert find_vertex_decomposition(c, priority) == oracle_find(c, priority)
+
+
+@pytest.mark.parametrize("family,m,n", [(FAMILY_A, 1, 4), (FAMILY_B, 2, 3)])
+def test_generated_certificates_match_name_based_oracle(family, m, n):
+    params = PolygonParams(family, m, n)
+    table = enumerate_faces(params)
+    c = AbstractComplex(abstract_facets(table))
+    prio = decomposition_priority(params, table.vertices)
+    cert = find_vertex_decomposition(c, prio)
+    assert cert is not None and cert == oracle_find(c, prio)
+    names = {v: f"x{(7 * v) % 101}" for v in c.vertices}  # names out of vertex order
+    renamed = AbstractComplex({names[v] for v in f} for f in c.facets)
+    renamed_prio = {names[v]: r for v, r in prio.items()}
+    assert find_vertex_decomposition(renamed, renamed_prio) == oracle_find(renamed, renamed_prio)
