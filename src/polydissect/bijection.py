@@ -7,13 +7,15 @@ locates the smallest initial point whose next m vertices (inside the current
 subpolygon) carry no initial point, records whether the diagonal spanning
 that window belongs to the face, then deletes the window and its mirror
 image.  Decoding replays the same stages and draws the diagonal whenever its
-eps entry is 1.  Both directions keep absolute vertex labels; the subpolygon
-is just the set of not-yet-deleted positions.
+eps entry is 1.  Both directions keep absolute vertex labels and run on one
+stage walker, `_peel`, over int positions: the subpolygon is the cycle of
+not-yet-deleted positions, held as successor links, and the mirror is
+(p + half) % size on local ints.  Both validate their input first and build
+nothing per parameter set, so their cost follows the face, not the polygon.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .complexes import Face, face_from_diagonals, is_face
@@ -25,9 +27,8 @@ from .polygons import (
     Diagonal,
     PolygonParams,
     b_pair,
-    chord,
+    constituent_positions,
     diameter,
-    initial_label,
     initial_position,
 )
 
@@ -40,12 +41,48 @@ class BijectionImage:
     eps: tuple[int, ...]
 
 
-def _subpolygon_step(active: list[int], p: int, k: int) -> int:
-    """Position k anticlockwise steps after p among the active positions."""
-    idx = bisect_left(active, p)
-    if idx >= len(active) or active[idx] != p:
-        raise ValueError(f"position {p} is not active")
-    return active[(idx + k) % len(active)]
+def _peel(params: PolygonParams, pool: list[int]):
+    """The stage walker shared by encode and decode, over int positions.
+
+    `pool` holds the initial positions of the diagonals not yet placed; the
+    caller removes one entry when its stage places a diagonal.  While the
+    pool is nonempty, stage s (counted from 0) yields (s, p, q, window): p is
+    the smallest pooled start whose next m active positions, the window,
+    hold no pooled start or mirror of one, and q is the active position
+    after the window.  The window and its mirror image are deleted when the
+    caller resumes.  A stage where no start qualifies yields (s, None, None,
+    None) and ends the walk.
+
+    The active positions form a cycle of successor links.  Deletions come in
+    mirror pairs, so the cycle stays symmetric under the half-turn: the
+    mirror window is the m positions after the mirror of p.
+    """
+    size, m = params.size, params.m
+    half = size // 2
+    succ = list(range(1, size)) + [0]
+    for stage in range(params.n):
+        if not pool:
+            return
+        starts = sorted(set(pool))
+        taken = set(starts)
+        taken.update([(p + half) % size for p in starts])
+        for p in starts:
+            window = []
+            w = p
+            for _ in range(m):
+                w = succ[w]
+                if w in taken:
+                    break
+                window.append(w)
+            else:
+                break
+        else:
+            yield stage, None, None, None
+            return
+        q = succ[w]
+        yield stage, p, q, window
+        succ[p] = q
+        succ[(p + half) % size] = (q + half) % size
 
 
 def _check_b_face(face: Face) -> None:
@@ -72,46 +109,35 @@ def encode(face: Face) -> BijectionImage:
     """Map a face to its code word; raises MalformedFaceError on bad input."""
     _check_b_face(face)
     params = face.params
-    m, n = params.m, params.n
-    mirror = params.mirror
+    size = params.size
+    half = size // 2
 
     work = face.sorted_diagonals()
-    a_sorted = tuple(sorted(initial_label(d, params) for d in work))
-    active = list(range(params.size))
-    eps: list[int] = []
+    chords = constituent_positions(params, work)
+    starts = [initial_position(d, params) for d in work]
+    pool = sorted(starts)
+    a_sorted = tuple(params.label_of_position(p) for p in pool)
+    # the diagonals not yet placed, by their chord sets, in sorted order
+    left = {frozenset(g): i for i, g in enumerate(chords)}
+    eps = [0] * params.n
 
-    for _stage in range(n):
-        if not work:
-            eps.append(0)
-            continue
-        starts = sorted({initial_position(d, params) for d in work})
-        taken = set(starts) | {mirror(p) for p in starts}
-        found = None
-        for p in starts:
-            window = [_subpolygon_step(active, p, k) for k in range(1, m + 1)]
-            if not taken.intersection(window):
-                found = (p, window)
-                break
-        if found is None:
+    for stage, p, q, window in _peel(params, pool):
+        if p is None:
             raise MalformedFaceError("no initial point has a free window; not a face")
-        p, window = found
-        q = _subpolygon_step(active, p, m + 1)
-        if q == mirror(p):
-            target = frozenset((chord(p, q),))
-        else:
-            target = frozenset((chord(p, q), chord(mirror(p), mirror(q))))
-        hit = next((d for d in work if d.endpoint_chords(params) == target), None)
-        if hit is None:
-            eps.append(0)
-        else:
-            eps.append(1)
-            work.remove(hit)
-        removed = set(window) | {mirror(w) for w in window}
-        for d in work:
-            for c in d.constituents(params):
-                if c.a in removed or c.b in removed:
-                    raise MalformedFaceError(f"{d} touches a deleted vertex; not a face")
-        active = [s for s in active if s not in removed]
+        mp, mq = (p + half) % size, (q + half) % size
+        target = {(p, q) if p < q else (q, p)}
+        if q != mp:
+            target.add((mp, mq) if mp < mq else (mq, mp))
+        hit = left.pop(frozenset(target), None)
+        if hit is not None:
+            eps[stage] = 1
+            pool.remove(starts[hit])
+        removed = set(window)
+        removed.update([(w + half) % size for w in window])
+        for i in left.values():
+            for x, y in chords[i]:
+                if x in removed or y in removed:
+                    raise MalformedFaceError(f"{work[i]} touches a deleted vertex; not a face")
 
     return BijectionImage(a_sorted, tuple(eps))
 
@@ -132,35 +158,20 @@ def decode(params: PolygonParams, a: tuple[int, ...], eps: tuple[int, ...]) -> F
     if list(a) != sorted(a):
         raise InvalidImageError(f"a must be weakly increasing, got {a!r}")
 
-    mirror = params.mirror
-    pool = list(a)
-    active = list(range(params.size))
+    half = params.half
+    pool = [x - 1 for x in a]
     diagonals: list[Diagonal] = []
 
-    for stage, e in enumerate(eps):
-        if not pool:
-            continue  # remaining eps entries are all 0 by the count check
-        starts = sorted({x - 1 for x in pool})
-        taken = set(starts) | {mirror(p) for p in starts}
-        found = None
-        for p in starts:
-            window = [_subpolygon_step(active, p, k) for k in range(1, m + 1)]
-            if not taken.intersection(window):
-                found = (p, window)
-                break
-        if found is None:
+    for stage, p, q, _window in _peel(params, pool):
+        if p is None:
             raise InvalidImageError(f"no eligible initial point at stage {stage + 1}")
-        p, window = found
-        if e == 1:
-            q = _subpolygon_step(active, p, m + 1)
+        if eps[stage] == 1:
             try:
-                d = diameter(params, p) if q == mirror(p) else b_pair(params, p, q)
+                d = diameter(params, p) if q == p + half else b_pair(params, p, q)
             except ValueError as exc:
                 raise InvalidImageError(f"stage {stage + 1} drew an invalid diagonal: {exc}")
             diagonals.append(d)
-            pool.remove(p + 1)
-        removed = set(window) | {mirror(w) for w in window}
-        active = [s for s in active if s not in removed]
+            pool.remove(p)
 
     face = face_from_diagonals(params, diagonals)
     if len(face.diagonals) != len(a) or not is_face(face):

@@ -1,10 +1,15 @@
 """Dissection complexes: faces are sets of pairwise compatible diagonals.
 
 The complex is flag (a set of diagonals is a face exactly when its members
-are pairwise compatible), so enumeration walks the compatibility graph in
-canonical vertex order and never produces a face twice.  Facets of the
-type-A complex have n-1 diagonals, facets of the type-B complex have n, and
-each facet dissects the polygon into (m+2)-gons.
+are pairwise compatible), so enumeration is clique enumeration on the
+compatibility graph.  Diagonals are numbered in canonical order and each one
+gets an int bitmask of the later diagonals compatible with it; a face carries
+the mask of its candidate extensions, so adding diagonal k is one AND with
+row k (bitset clique enumeration, Bron-Kerbosch 1973; Tomita-Tanaka-Takahashi
+2006) and no face is produced twice.  `is_face` tests chord pairs on integer
+endpoints and builds no per-parameter table, so documents of any size stay
+cheap.  Facets of the type-A complex have n-1 diagonals, facets of the
+type-B complex have n, and each facet dissects the polygon into (m+2)-gons.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .polygons import (
     Diagonal,
     PolygonParams,
     all_diagonals,
-    compatible,
+    constituent_positions,
+    positions_cross,
 )
 
 DEFAULT_MAX_FACES = 10_000_000
@@ -79,10 +85,10 @@ def face_from_diagonals(params: PolygonParams, diagonals) -> Face:
 
 def is_face(face: Face) -> bool:
     """Pairwise compatibility test (the complex is flag)."""
-    ds = face.sorted_diagonals()
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            if not compatible(ds[i], ds[j], face.params):
+    groups = constituent_positions(face.params, face.diagonals)
+    for i, g in enumerate(groups):
+        for h in groups[i + 1:]:
+            if positions_cross(g, h):
                 return False
     return True
 
@@ -95,9 +101,9 @@ def enumerate_faces(
     """Backtracking enumeration of all faces with at most `up_to` diagonals.
 
     Faces are emitted in canonical order (vertices sorted by chord positions,
-    faces extended only by higher-indexed vertices), so repeated runs produce
-    identical tables.  Raises ResourceLimitError when the projected total
-    face count exceeds the bound.
+    faces extended only by higher-indexed vertices, candidates taken in
+    increasing order), so repeated runs produce identical tables.  Raises
+    ResourceLimitError when the projected total face count exceeds the bound.
     """
     bound = max_faces_bound(max_faces)
     top = params.rank if up_to is None else min(up_to, params.rank)
@@ -110,37 +116,42 @@ def enumerate_faces(
         )
 
     vertices = all_diagonals(params)
+    chords = constituent_positions(params, vertices)
     v = len(vertices)
-    compat = [[False] * v for _ in range(v)]
+    # rows[k]: the diagonals after k that are compatible with it
+    rows = [0] * v
     for i in range(v):
+        g, row = chords[i], 0
         for j in range(i + 1, v):
-            if compatible(vertices[i], vertices[j], params):
-                compat[i][j] = compat[j][i] = True
+            if not positions_cross(g, chords[j]):
+                row |= 1 << j
+        rows[i] = row
 
     by_card: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
     by_card[0].append(())
     emitted = 1
 
-    stack: list[int] = []
-
-    def extend(start: int) -> None:
+    def extend(face: tuple[int, ...], cand: int) -> None:
+        # cand: the later diagonals compatible with every member of face
         nonlocal emitted
-        if len(stack) == top:
-            return
-        for k in range(start, v):
-            row = compat[k]
-            if all(row[j] for j in stack):
-                stack.append(k)
-                emitted += 1
-                if emitted > bound:
-                    raise ResourceLimitError(
-                        f"enumerated face count exceeded bound {bound}", bound=bound
-                    )
-                by_card[len(stack)].append(tuple(stack))
-                extend(k + 1)
-                stack.pop()
+        level = by_card[len(face) + 1]
+        deeper = len(face) + 1 < top
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            k = low.bit_length() - 1
+            emitted += 1
+            if emitted > bound:
+                raise ResourceLimitError(
+                    f"enumerated face count exceeded bound {bound}", bound=bound
+                )
+            child = face + (k,)
+            level.append(child)
+            if deeper and cand & rows[k]:
+                extend(child, cand & rows[k])
 
-    extend(0)
+    if top:
+        extend((), (1 << v) - 1)
     return FaceTable(params, vertices, by_card)
 
 
@@ -149,14 +160,23 @@ def facets(params: PolygonParams, max_faces: int | None = None) -> list[Face]:
 
 
 def check_pure(table: FaceTable) -> Face | None:
-    """Return a witness face contained in no facet, or None when pure."""
-    top_sets = [set(ix) for ix in table.by_cardinality[-1]]
-    for level in table.by_cardinality[:-1]:
-        for ix in level:
-            s = set(ix)
-            if not any(s <= f for f in top_sets):
-                return table.face_from_indices(ix)
-    return None
+    """Return a witness face contained in no facet, or None when pure.
+
+    The subsets of the top-cardinality faces are marked level by level from
+    the top down, as `abstract_facets` marks covered faces, in O(faces * rank)
+    for a table closed under subsets.  The witness is the first unmarked face
+    of the lowest level that has one: the face that scanning the levels in
+    order against every top face would find first.
+    """
+    levels = table.by_cardinality
+    marked = set(levels[-1])
+    witness = None
+    for level in reversed(levels[:-1]):
+        marked = {ix[:j] + ix[j + 1:] for ix in marked for j in range(len(ix))}
+        first = next((ix for ix in level if ix not in marked), None)
+        if first is not None:
+            witness = first
+    return None if witness is None else table.face_from_indices(witness)
 
 
 def region_sizes(face: Face) -> list[int]:

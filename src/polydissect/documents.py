@@ -114,7 +114,8 @@ def face_to_document(face: Face) -> dict:
 def load_face(text: str) -> Face:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit limit
         raise FaceDocumentError(f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise FaceDocumentError("face document must be a JSON object")

@@ -154,10 +154,6 @@ class Diagonal:
             return (c, chord(params.mirror(c.a), params.mirror(c.b)))
         return (self.canonical,)
 
-    def endpoint_chords(self, params: PolygonParams) -> frozenset[Chord]:
-        """Identity of the diagonal as a set of chords (for membership tests)."""
-        return frozenset(self.constituents(params))
-
 
 def short_side(c: Chord, size: int) -> tuple[int, int]:
     """(initial position, arc length) of the shorter side of a chord.
@@ -191,11 +187,11 @@ def diameter(params: PolygonParams, p: int) -> Diagonal:
     """Type-B diameter through position p and its antipode."""
     if params.family != FAMILY_B:
         raise ValueError("diameter needs family-B parameters")
-    p %= params.size
-    q = params.mirror(p)
-    if p >= params.half:
-        p, q = q, p  # canonical end is the positively labeled one
-    return Diagonal(KIND_DIAMETER, Chord(p, q) if p < q else Chord(q, p))
+    size = params.size
+    half = size // 2
+    p %= size
+    # canonical end is the positively labeled one
+    return Diagonal(KIND_DIAMETER, Chord(p, p + half) if p < half else Chord(p - half, p))
 
 
 def b_pair(params: PolygonParams, x: int, y: int) -> Diagonal:
@@ -207,22 +203,23 @@ def b_pair(params: PolygonParams, x: int, y: int) -> Diagonal:
     if params.family != FAMILY_B:
         raise ValueError("b_pair needs family-B parameters")
     size = params.size
+    half = size // 2
     c = chord(x % size, y % size)
-    t = arc_distance(c.a, c.b, size)
+    t = c.b - c.a  # the anticlockwise arc from c.a to c.b
     if min(t, size - t) < 2:
         raise ValueError(f"chord {c} joins adjacent vertices")
     if 2 * t == size:
         raise ValueError(f"chord {c} is a diameter, not a pair constituent")
-    mir = chord(params.mirror(c.a), params.mirror(c.b))
-    if chords_cross(c, mir, size):
+    mir = chord((c.a + half) % size, (c.b + half) % size)
+    if positions_cross((c,), (mir,)):
         raise ValueError(f"chord {c} crosses its mirror {mir}")
-    start, arc = short_side(c, size)
+    start, arc = (c.a, t) if 2 * t < size else (c.b, size - t)
     if (arc - 1) % params.m != 0:
         raise ValueError(
             f"pair through {c} cuts off parts with {arc + 1} vertices, not 2 mod {params.m}"
         )
     # canonical constituent: the one whose travel starts at a positive label
-    canon = c if start < params.half else mir
+    canon = c if start < half else mir
     return Diagonal(KIND_PAIR, canon)
 
 
@@ -244,6 +241,42 @@ def initial_position(d: Diagonal, params: PolygonParams) -> int:
 
 def initial_label(d: Diagonal, params: PolygonParams) -> int:
     return params.label_of_position(initial_position(d, params))
+
+
+def constituent_positions(
+    params: PolygonParams, diagonals
+) -> list[tuple[tuple[int, int], ...]]:
+    """Endpoint pairs (a, b), a < b, of each diagonal's chords, in input order.
+
+    The integer twin of `Diagonal.constituents` for batch use: the half-turn
+    is read from the parameters once, not once per chord.
+    """
+    size = half = None
+    out = []
+    for d in diagonals:
+        c = d.canonical
+        if d.kind != KIND_PAIR:
+            out.append(((c.a, c.b),))
+            continue
+        if half is None:  # read only when a pair is present: half is B-only
+            size, half = params.size, params.half
+        x, y = (c.a + half) % size, (c.b + half) % size
+        out.append(((c.a, c.b), (x, y) if x < y else (y, x)))
+    return out
+
+
+def positions_cross(g, h) -> bool:
+    """True when a chord of g crosses a chord of h, both given as (a, b), a < b.
+
+    The integer form of `chords_cross`: (a, b) and (c, d) cross exactly when
+    a < c < b < d or c < a < d < b; the strict inequalities rule out shared
+    endpoints.
+    """
+    for a, b in g:
+        for c, d in h:
+            if a < c < b < d or c < a < d < b:
+                return True
+    return False
 
 
 def compatible(d1: Diagonal, d2: Diagonal, params: PolygonParams) -> bool:

@@ -1,5 +1,7 @@
 """Round-trip, injectivity, and totality of the face encoding."""
 
+import json
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from polydissect import counting
 from polydissect.bijection import BijectionImage, decode, encode
 from polydissect.complexes import Face, diameter_count, enumerate_faces, face_from_diagonals
+from polydissect.documents import load_face
 from polydissect.errors import InvalidImageError, MalformedFaceError
 from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams, b_pair, chord, diameter
 
@@ -132,3 +135,20 @@ def test_decode_validates_shape():
         decode(params, (3, 1), (1, 1, 0))  # not weakly increasing
     with pytest.raises(InvalidImageError):
         decode(PolygonParams(FAMILY_A, 2, 3), (1,), (1, 0))  # wrong family
+
+
+def test_large_parameters_build_no_per_parameter_table():
+    """B(40,40) has 64 040 diagonals and B(50,50) more: the codec must touch
+    only the diagonals it is given, never all pairs of the polygon's."""
+    started = time.perf_counter()
+    doc = {"family": "B", "m": 40, "n": 40, "diagonals": [[800, -800]]}
+    face = load_face(json.dumps(doc))
+    assert encode(face) == BijectionImage((800,), (0,) * 39 + (1,))
+    assert time.perf_counter() - started < 2
+
+    started = time.perf_counter()
+    params = PolygonParams(FAMILY_B, 50, 50)
+    assert decode(params, (), (0,) * 50) == Face(params, frozenset())
+    face = decode(params, (7, 9), (1,) + (0,) * 48 + (1,))
+    assert face == face_from_diagonals(params, [b_pair(params, 8, 59), diameter(params, 6)])
+    assert time.perf_counter() - started < 2

@@ -1,8 +1,11 @@
-"""Face enumeration against closed forms and a brute-force clique oracle."""
+"""Face enumeration against closed forms, a brute-force clique oracle and
+the pairwise scan enumeration that the bitmask enumeration replaced."""
 
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydissect import counting
 from polydissect.complexes import (
@@ -58,6 +61,164 @@ def brute_force_f_vector(params):
         counts.append(level)
         size += 1
     return tuple(counts)
+
+
+def scan_enumeration(params, up_to=None, max_faces=None):
+    """The pairwise scan enumeration: extend the face on the stack by every
+    later diagonal compatible with all of its members, in increasing order."""
+    bound = max_faces_bound(max_faces)
+    top = params.rank if up_to is None else min(up_to, params.rank)
+    projected = sum(counting.count_faces(params, i) for i in range(top + 1))
+    if projected > bound:
+        raise ResourceLimitError(
+            f"projected face count {projected} exceeds bound {bound}",
+            projected=projected,
+            bound=bound,
+        )
+    vertices = all_diagonals(params)
+    v = len(vertices)
+    compat = [[False] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            if compatible(vertices[i], vertices[j], params):
+                compat[i][j] = compat[j][i] = True
+    by_card = [[] for _ in range(top + 1)]
+    by_card[0].append(())
+    emitted = 1
+    stack = []
+
+    def extend(start):
+        nonlocal emitted
+        if len(stack) == top:
+            return
+        for k in range(start, v):
+            row = compat[k]
+            if all(row[j] for j in stack):
+                stack.append(k)
+                emitted += 1
+                if emitted > bound:
+                    raise ResourceLimitError(
+                        f"enumerated face count exceeded bound {bound}", bound=bound
+                    )
+                by_card[len(stack)].append(tuple(stack))
+                extend(k + 1)
+                stack.pop()
+
+    extend(0)
+    return FaceTable(params, vertices, by_card)
+
+
+def scan_check_pure(table):
+    """The quadratic purity check: each face against every top face."""
+    top_sets = [set(ix) for ix in table.by_cardinality[-1]]
+    for level in table.by_cardinality[:-1]:
+        for ix in level:
+            s = set(ix)
+            if not any(s <= f for f in top_sets):
+                return table.face_from_indices(ix)
+    return None
+
+
+ORDER_GRID = [(FAMILY_A, m, n) for m in (1, 2, 3) for n in range(1, 7)] + [
+    (FAMILY_B, m, n) for m in (1, 2, 3) for n in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("fam,m,n", ORDER_GRID)
+def test_enumeration_order_matches_the_scan(fam, m, n):
+    params = PolygonParams(fam, m, n)
+    for up_to in (0, 1, 2, max(params.rank - 1, 0), None):
+        table = enumerate_faces(params, up_to=up_to)
+        assert table.vertices == all_diagonals(params)
+        assert table.by_cardinality == scan_enumeration(params, up_to=up_to).by_cardinality
+
+
+def _limit_error(enumerate_, params, **kwargs):
+    try:
+        enumerate_(params, **kwargs)
+    except ResourceLimitError as exc:
+        return str(exc), exc.projected, exc.bound
+    return None
+
+
+@pytest.mark.parametrize("fam,m,n", [(FAMILY_A, 2, 4), (FAMILY_B, 2, 3), (FAMILY_B, 1, 4)])
+def test_max_faces_bounds_raise_like_the_scan(fam, m, n, monkeypatch):
+    params = PolygonParams(fam, m, n)
+    total = sum(counting.f_vector(params))
+    bounds = (0, 1, 2, 7, total // 2, total - 1, total)
+    for bound in bounds:
+        for up_to in (1, None):
+            got = _limit_error(enumerate_faces, params, up_to=up_to, max_faces=bound)
+            assert got == _limit_error(scan_enumeration, params, up_to=up_to, max_faces=bound)
+    # with the projection out of the way, the bound is met mid-enumeration
+    monkeypatch.setattr(counting, "count_faces", lambda params, i: 0)
+    for bound in bounds:
+        got = _limit_error(enumerate_faces, params, max_faces=bound)
+        assert got == _limit_error(scan_enumeration, params, max_faces=bound)
+        if bound < total:
+            assert got == (f"enumerated face count exceeded bound {bound}", None, bound)
+
+
+@pytest.mark.parametrize("fam,m,n", SMALL_GRID + [(FAMILY_B, 2, 4), (FAMILY_A, 2, 5)])
+def test_check_pure_matches_the_scan(fam, m, n):
+    table = enumerate_faces(PolygonParams(fam, m, n))
+    assert check_pure(table) is None and scan_check_pure(table) is None
+    facets = table.by_cardinality[-1]
+    if len(table.by_cardinality) < 2:
+        return
+    # drop top faces: whatever only they covered becomes a witness
+    for kept in (facets[: len(facets) // 2], facets[1:], facets[::3], []):
+        impure = FaceTable(table.params, table.vertices, table.by_cardinality[:-1] + [kept])
+        assert check_pure(impure) == scan_check_pure(impure)
+
+
+def test_check_pure_witness_is_the_first_unmarked_face_of_the_lowest_level():
+    params = PolygonParams(FAMILY_A, 1, 4)
+    vertices = all_diagonals(params)[:4]
+    levels = [[()], [(0,), (1,), (2,), (3,)], [(0, 1), (0, 2), (1, 2), (2, 3)], [(0, 1, 2)]]
+    table = FaceTable(params, vertices, levels)
+    assert check_pure(table) == scan_check_pure(table) == table.face_from_indices((3,))
+    no_top = FaceTable(params, vertices, [[()], [(0,)], []])
+    assert check_pure(no_top) == scan_check_pure(no_top) == table.face_from_indices(())
+    covered = FaceTable(params, vertices, levels[:3] + [[(0, 1, 2), (1, 2, 3)]])
+    assert check_pure(covered) is scan_check_pure(covered) is None
+    levels[2].append((1, 3))
+    upper = FaceTable(params, vertices, levels[:3] + [[(0, 1, 2), (0, 2, 3)]])
+    assert check_pure(upper) == scan_check_pure(upper) == table.face_from_indices((1, 3))
+
+
+FACE_PARAMS = [
+    PolygonParams(fam, m, n)
+    for fam, m, n in [
+        (FAMILY_A, 1, 4), (FAMILY_A, 2, 3), (FAMILY_A, 1, 6), (FAMILY_A, 3, 3),
+        (FAMILY_B, 1, 2), (FAMILY_B, 1, 3), (FAMILY_B, 2, 3), (FAMILY_B, 3, 2),
+    ]
+]
+
+
+@st.composite
+def diagonal_sets(draw):
+    params = draw(st.sampled_from(FACE_PARAMS))
+    diags = all_diagonals(params)
+    picked = draw(st.lists(st.sampled_from(diags), max_size=params.rank + 2, unique=True))
+    return params, picked
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(diagonal_sets())
+def test_is_face_matches_pairwise_compatibility(drawn):
+    params, diags = drawn
+    expected = all(compatible(d1, d2, params) for d1, d2 in combinations(diags, 2))
+    assert is_face(face_from_diagonals(params, diags)) == expected
+
+
+def test_is_face_property_draws_both_outcomes():
+    outcomes = set()
+    for params in FACE_PARAMS:
+        diags = all_diagonals(params)
+        for pair in combinations(diags, 2):
+            outcomes.add(is_face(face_from_diagonals(params, pair)))
+    assert outcomes == {True, False}
 
 
 def test_vertex_counts():

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydissect.bijection import decode
-from polydissect.complexes import Face, enumerate_faces
+from polydissect.complexes import Face, enumerate_faces, is_face
 from polydissect.documents import (
     REPORT_SCHEMA,
     diagonal_from_labels,
@@ -22,6 +24,7 @@ from polydissect.polygons import (
     FAMILY_B,
     PolygonParams,
     a_diagonal,
+    all_diagonals,
     b_pair,
     diameter,
 )
@@ -134,3 +137,89 @@ def test_reports_are_deterministic_and_schema_tagged():
     assert parsed["command"] == "count"
     timed = make_report("count", {}, {}, timing=1.25)
     assert timed["timing"] == {"seconds": 1.25}
+
+
+def test_unparseable_json_is_a_document_error():
+    for text in ["1" * 5000, "[" * 100_000, '{"m": 1' + "0" * 5000 + "}"]:
+        with pytest.raises(FaceDocumentError, match="^not valid JSON: "):
+            load_face(text)
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True) | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+LABELS = st.integers(min_value=-9, max_value=9)
+ODD_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+
+
+@st.composite
+def near_miss_documents(draw):
+    """Face documents over small parameters, most with one or two fields
+    wrong, missing or mistyped, some wrapped in a report."""
+    params = PolygonParams(
+        draw(st.sampled_from([FAMILY_A, FAMILY_B])),
+        draw(st.integers(min_value=1, max_value=3)),
+        draw(st.integers(min_value=1, max_value=4)),
+    )
+    valid = [diagonal_to_labels(params, d) for d in all_diagonals(params)]
+    pairs = st.sampled_from(valid + [p[::-1] for p in valid] or [[1, 1]])
+    doc = {
+        "family": params.family,
+        "m": params.m,
+        "n": params.n,
+        "diagonals": draw(st.lists(pairs, min_size=1, max_size=4, unique_by=tuple)),
+    }
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        key = draw(st.sampled_from(sorted(doc)))
+        how = draw(st.sampled_from(["drop", "replace", "odd pair", "label pair", "repeat"]))
+        if how == "drop":
+            doc.pop(key, None)
+        elif how == "replace":
+            doc[key] = draw(st.sampled_from(["C", 0, -1, True, 2.0, "2"]) | ODD_VALUES)
+        elif isinstance(doc.get("diagonals"), list) and how == "odd pair":
+            doc["diagonals"].append(draw(st.lists(LABELS | ODD_VALUES, max_size=3)))
+        elif isinstance(doc.get("diagonals"), list) and how == "label pair":
+            doc["diagonals"].append(draw(st.lists(LABELS, min_size=2, max_size=2)))
+        elif isinstance(doc.get("diagonals"), list) and doc["diagonals"]:
+            doc["diagonals"].append(list(doc["diagonals"][0]))
+    if draw(st.booleans()):
+        doc = {"result": doc, "schema": "polydissect.report/1"}
+    return json.dumps(doc)
+
+
+def _load_or_reject(text):
+    """The loaded face, or None when load_face raises FaceDocumentError; any
+    other exception fails the test."""
+    try:
+        face = load_face(text)
+    except FaceDocumentError:
+        return None
+    assert is_face(face)
+    assert load_face(dump_json(face_to_document(face))) == face
+    return face
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_VALUES.map(json.dumps) | st.text(max_size=40))
+def test_load_face_on_arbitrary_json_raises_only_document_errors(text):
+    _load_or_reject(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(near_miss_documents())
+def test_load_face_on_near_miss_documents_raises_only_document_errors(text):
+    _load_or_reject(text)
+
+
+def test_load_face_checks_compatibility():
+    texts = [
+        '{"family": "B", "m": 1, "n": 3, "diagonals": [[1, 3], [2, -2]]}',
+        '{"family": "B", "m": 1, "n": 3, "diagonals": [[1, 3], [1, -1]]}',
+        '{"result": {"family": "A", "m": 1, "n": 4, "diagonals": [[1, 3], [2, 4]]}}',
+    ]
+    assert [_load_or_reject(t) is not None for t in texts] == [False, True, False]

@@ -21,9 +21,11 @@ from polydissect.polygons import (
     chord,
     chords_cross,
     compatible,
+    constituent_positions,
     diameter,
     initial_label,
     initial_position,
+    positions_cross,
     short_side,
 )
 
@@ -70,6 +72,18 @@ def test_crossing_matches_oracle(size):
         for c2 in chords:
             assert chords_cross(c1, c2, size) == crossing_oracle(c1, c2, size)
             assert chords_cross(c1, c2, size) == chords_cross(c2, c1, size)
+            assert positions_cross([c1], [c2]) == crossing_oracle(c1, c2, size)
+
+
+@pytest.mark.parametrize("fam,m,n", [(FAMILY_A, 2, 3), (FAMILY_B, 1, 3), (FAMILY_B, 2, 2)])
+def test_constituent_positions_match_constituents(fam, m, n):
+    params = PolygonParams(fam, m, n)
+    diags = all_diagonals(params)
+    groups = constituent_positions(params, diags)
+    assert groups == [tuple(tuple(c) for c in d.constituents(params)) for d in diags]
+    for d1, g1 in zip(diags, groups):
+        for d2, g2 in zip(diags, groups):
+            assert positions_cross(g1, g2) == (not compatible(d1, d2, params))
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3)])
