@@ -212,15 +212,6 @@ def test_is_face_matches_pairwise_compatibility(drawn):
     assert is_face(face_from_diagonals(params, diags)) == expected
 
 
-def test_is_face_property_draws_both_outcomes():
-    outcomes = set()
-    for params in FACE_PARAMS:
-        diags = all_diagonals(params)
-        for pair in combinations(diags, 2):
-            outcomes.add(is_face(face_from_diagonals(params, pair)))
-    assert outcomes == {True, False}
-
-
 def test_vertex_counts():
     assert len(all_diagonals(PolygonParams(FAMILY_A, 1, 3))) == 5
     assert len(all_diagonals(PolygonParams(FAMILY_B, 1, 2))) == 6

@@ -215,11 +215,3 @@ def test_load_face_on_arbitrary_json_raises_only_document_errors(text):
 def test_load_face_on_near_miss_documents_raises_only_document_errors(text):
     _load_or_reject(text)
 
-
-def test_load_face_checks_compatibility():
-    texts = [
-        '{"family": "B", "m": 1, "n": 3, "diagonals": [[1, 3], [2, -2]]}',
-        '{"family": "B", "m": 1, "n": 3, "diagonals": [[1, 3], [1, -1]]}',
-        '{"result": {"family": "A", "m": 1, "n": 4, "diagonals": [[1, 3], [2, 4]]}}',
-    ]
-    assert [_load_or_reject(t) is not None for t in texts] == [False, True, False]
