@@ -486,9 +486,20 @@ def _add_param_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--n", type=int, required=required, help="rank parameter, >= 1")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of the counts and bounds: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def _add_common_args(p: argparse.ArgumentParser, formats=("table", "json")) -> None:
     p.add_argument("--format", choices=formats, default="table", help="output format")
-    p.add_argument("--max-faces", type=int, default=None,
+    p.add_argument("--max-faces", type=_non_negative_int, default=None,
                    help="resource bound on enumerated faces "
                         f"(default {complexes.DEFAULT_MAX_FACES}, env {complexes.MAX_FACES_ENV})")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in output")
@@ -509,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate faces and report counts")
     _add_param_args(p)
-    p.add_argument("--up-to", type=int, default=None, help="largest cardinality to enumerate")
+    p.add_argument("--up-to", type=_non_negative_int, default=None,
+                   help="largest cardinality to enumerate")
     _add_common_args(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -535,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p, required=False)
     p.add_argument("--facets-file", default=None,
                    help="run on an imported facet list instead (one facet per line)")
-    p.add_argument("--max-states", type=int, default=simplicial.DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_non_negative_int, default=simplicial.DEFAULT_MAX_STATES)
     _add_common_args(p)
     p.set_defaults(func=cmd_shelling)
 
@@ -549,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     _add_param_args(p)
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--max-states", type=int, default=simplicial.DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_non_negative_int, default=simplicial.DEFAULT_MAX_STATES)
     _add_common_args(p)
     p.set_defaults(func=cmd_verify)
 

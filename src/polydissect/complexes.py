@@ -103,8 +103,11 @@ def enumerate_faces(
     Faces are emitted in canonical order (vertices sorted by chord positions,
     faces extended only by higher-indexed vertices, candidates taken in
     increasing order), so repeated runs produce identical tables.  Raises
-    ResourceLimitError when the projected total face count exceeds the bound.
+    ResourceLimitError when the projected total face count exceeds the bound,
+    and ValueError when `up_to` is negative.
     """
+    if up_to is not None and up_to < 0:
+        raise ValueError(f"up_to must be >= 0, got {up_to}")
     bound = max_faces_bound(max_faces)
     top = params.rank if up_to is None else min(up_to, params.rank)
     projected = sum(counting.count_faces(params, i) for i in range(top + 1))

@@ -13,8 +13,11 @@ predecessors in a nonempty pure complex of codimension one.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .complexes import max_faces_bound
@@ -182,25 +185,27 @@ class DecompositionNode:
 Certificate = Union[DecompositionLeaf, DecompositionNode]
 
 
-def _canonical_form(facets: list[frozenset[int]]) -> tuple[tuple, dict[int, int]]:
-    """Facet tuple after dense re-indexing of vertices, plus the renaming map.
+def _canonical_form(facets: list[str]) -> tuple[tuple[int, str], str]:
+    """Facets after dense re-indexing of vertices, plus the vertex order.
 
-    Complexes that differ only by vertex positions share a form, so a memoized
-    certificate is renamed through two maps when another complex reuses it.
+    Facets are packed strings of equal length whose code points are vertex
+    positions in increasing order.  Vertices are numbered by first
+    appearance in the sorted facets; the key is the renumbered facets,
+    sorted, with their length, and `order[i]` is the vertex numbered i.
+    Complexes that differ only by vertex positions share a key, so a
+    memoized certificate is renamed from one order to the other.
     """
-    rows = sorted(tuple(sorted(f)) for f in facets)
-    index: dict[int, int] = {}
-    out = []
-    for row in rows:
-        for v in row:
-            index.setdefault(v, len(index))
-        out.append(tuple(sorted(index[v] for v in row)))
-    return tuple(sorted(out)), index
+    rows = sorted(facets)
+    order = "".join(dict.fromkeys("".join(rows)))
+    table = str.maketrans(order, "".join(map(chr, range(len(order)))))
+    renumbered = map(str.translate, rows, repeat(table))
+    if len(rows[0]) > 1:
+        renumbered = map("".join, map(sorted, renumbered))
+    return (len(rows[0]), "".join(sorted(renumbered))), order
 
 
 def _rename(cert: "Certificate", mapping) -> "Certificate":
-    """The certificate with each vertex v replaced by mapping[v]; `mapping`
-    is a dict, or the vertex tuple when v is a position in it."""
+    """The certificate with each vertex v replaced by mapping[v]."""
     order, stack = [], [cert]
     while stack:  # preorder, so each node comes before its link and deletion
         node = stack.pop()
@@ -218,6 +223,22 @@ def _rename(cert: "Certificate", mapping) -> "Certificate":
     return renamed[id(cert)]
 
 
+def _connected(facets: list[str]) -> bool:
+    """Whether the facets' vertices span one connected graph (union-find)."""
+    parent: dict[str, str] = {}
+
+    def find(u: str) -> str:
+        while parent.setdefault(u, u) != u:
+            parent[u] = u = parent[parent[u]]  # path halving
+        return u
+
+    for f in facets:
+        a = find(f[0])
+        for u in f[1:]:
+            parent[find(u)] = a
+    return sum(u == r for u, r in parent.items()) == 1
+
+
 def find_vertex_decomposition(
     complex_: AbstractComplex,
     priority: Optional[dict] = None,
@@ -225,72 +246,100 @@ def find_vertex_decomposition(
 ) -> Optional[Certificate]:
     """Search for a vertex decomposition; None when the complex has none.
 
-    The search runs on the positions of the vertices in `complex_.vertices`.
-    Candidates are tried in `priority` order (missing vertices come last),
-    ties in vertex order.  Subproblems are memoized on their canonical form,
-    successes and failures alike, and capped at `max_states`; a success is
-    stored as found, with its renaming map, and renamed only when another
-    subproblem reuses it.  The certificate names the complex's own vertices.
+    The search runs on packed facets: each is a string whose code points are
+    the positions of its vertices in `complex_.vertices`, in increasing
+    order.  Candidates are tried in `priority` order (missing vertices come
+    last), ties in vertex order.  Subproblems are memoized on their
+    canonical form, successes and failures alike, and capped at
+    `max_states`; a success is stored as found, with its vertex order, and
+    renamed only when another subproblem reuses it.  A subproblem of
+    dimension at least 1 whose first candidate fails is checked for
+    connectivity and fails at once when disconnected, since a shellable
+    complex of dimension at least 1 is connected.  An explicit stack of
+    generators, one per subproblem, drives the search, so its depth is not
+    bounded by the interpreter's recursion limit.  The certificate names the
+    complex's own vertices.
     """
     names = complex_.vertices
+    if len(complex_.facets) <= 1:
+        return DecompositionLeaf()
+    if not complex_.is_pure():
+        return None
+    if len(names) > sys.maxunicode + 1:
+        raise ResourceLimitError(
+            f"decomposition search takes at most {sys.maxunicode + 1} vertices, got {len(names)}",
+            projected=len(names),
+            bound=sys.maxunicode + 1,
+        )
+    chars = "".join(map(chr, range(len(names))))
     rank = priority or {}
-    candidate_key = [(rank.get(v, len(rank)), p) for p, v in enumerate(names)]
-    memo: dict[tuple, Optional[tuple[Certificate, dict[int, int]]]] = {}
+    candidate_key = (
+        {c: (rank.get(v, len(rank)), c) for v, c in zip(names, chars)}.__getitem__
+        if rank else None
+    )
+    memo: dict[tuple, Optional[tuple[Certificate, str]]] = {}
     leaf = DecompositionLeaf()
+    stack: list = []  # one generator per subproblem under search, innermost last
 
-    def search(facets: list[frozenset[int]]) -> Optional[Certificate]:
+    def search(facets: list[str], key: tuple, order: str):
+        """Yields link and deletion subproblems, is sent their certificates."""
+        cover: Optional[Counter] = None  # how many facets contain each ridge
+        result: Optional[Certificate] = None
+        for i, v in enumerate(sorted(order, key=candidate_key)):
+            if i == 1 and len(facets[0]) >= 2 and not _connected(facets):
+                break  # the first candidate failed and no candidate can succeed
+            inside = [f for f in facets if v in f]
+            outside = [f for f in facets if v not in f]
+            link_facets = [f.replace(v, "") for f in inside]
+            if outside:
+                if cover is None:
+                    cover = Counter()
+                    for k in range(len(facets[0])):  # ridges without each facet's k-th vertex
+                        kth = map(itemgetter(k), facets)
+                        cover.update(map(str.replace, facets, kth, repeat("")))
+                if any(cover[r] == 1 for r in link_facets):
+                    continue  # deletion would be impure
+            cert_link = yield link_facets
+            if cert_link is None:
+                continue
+            if not outside:
+                result = DecompositionNode(v, cert_link, None)
+                break
+            cert_del = yield outside
+            if cert_del is None:
+                continue
+            result = DecompositionNode(v, cert_link, cert_del)
+            break
+        if result is not None:
+            memo[key] = (result, order)
+        return result
+
+    def enter(facets: list[str]) -> Optional[Certificate]:
+        """A subproblem's certificate, or None after pushing its search."""
         if len(facets) <= 1:
             return leaf
-        if len({len(f) for f in facets}) > 1:
-            return None
-        key, fwd = _canonical_form(facets)
+        key, order = _canonical_form(facets)
         if key in memo:
-            if memo[key] is None:
-                return None
-            cert, old = memo[key]
-            back = {c: p for p, c in fwd.items()}
-            return _rename(cert, {p: back[c] for p, c in old.items()})
+            stored = memo[key]
+            return None if stored is None else _rename(stored[0], dict(zip(stored[1], order)))
         if len(memo) >= max_states:
             raise ResourceLimitError(
                 f"decomposition search exceeded {max_states} memoized states",
                 bound=max_states,
             )
         memo[key] = None
+        stack.append(search(facets, key, order))
+        return None
 
-        # how many facets contain each codimension-1 face
-        cover: dict[frozenset, int] = {}
-        for f in facets:
-            for v in f:
-                sub = f - {v}
-                cover[sub] = cover.get(sub, 0) + 1
-        ground = set().union(*facets)
-
-        result: Optional[Certificate] = None
-        for v in sorted(ground, key=candidate_key.__getitem__):
-            inside = [f for f in facets if v in f]
-            outside = [f for f in facets if v not in f]
-            if outside and any(cover[f - {v}] == 1 for f in inside):
-                continue  # deletion would be impure
-            link_facets = [f - {v} for f in inside]
-            cert_link = search(link_facets)
-            if cert_link is None:
-                continue
-            if not outside:
-                result = DecompositionNode(v, cert_link, None)
-                break
-            cert_del = search(outside)
-            if cert_del is None:
-                continue
-            result = DecompositionNode(v, cert_link, cert_del)
-            break
-
-        if result is not None:
-            memo[key] = (result, fwd)
-        return result
-
-    pos = {v: p for p, v in enumerate(names)}
-    found = search([frozenset(map(pos.__getitem__, f)) for f in complex_.facets])
-    return None if found is None else _rename(found, names)
+    pos = dict(zip(names, chars))
+    found = enter(["".join(sorted(map(pos.__getitem__, f))) for f in complex_.facets])
+    while stack:  # a fresh generator is sent None, a suspended one its answer
+        try:
+            found = enter(stack[-1].send(found))
+        except StopIteration as done:
+            stack.pop()
+            found = done.value
+    return None if found is None else _rename(found, dict(zip(chars, names)))
 
 
 def verify_vertex_decomposition(complex_: AbstractComplex, cert: Certificate) -> bool:

@@ -263,19 +263,52 @@ def test_homology_of_a_long_imported_path(tmp_path, capsys):
     assert json.loads(out)["result"]["reduced_betti"] == [0, 0]
 
 
-def test_recursion_limit_exits_four_without_traceback(tmp_path):
+def test_isolated_points_shell_past_the_recursion_limit(tmp_path):
     # the search sheds one isolated vertex per level, past the recursion limit
     points = tmp_path / "points.txt"
     points.write_text("".join(f"x{i}\n" for i in range(1500)))
     proc = subprocess.run(
-        [sys.executable, "-m", "polydissect.cli", "shelling", "--facets-file", str(points)],
+        [sys.executable, "-m", "polydissect.cli", "shelling", "--facets-file", str(points),
+         "--format", "json"],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (INTERNAL, "")
-    assert proc.stderr.startswith("internal limit: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (OK, "")
+    assert json.loads(proc.stdout)["result"]["restriction_histogram"] == {"0": 1, "1": 1499}
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+def test_internal_limits_exit_four_without_traceback(monkeypatch, capsys, exc):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(simplicial, "find_vertex_decomposition", exhausted)
+    code, out, err = run(capsys, "shelling", "--family", "B", "--m", "1", "--n", "2")
+    assert (code, out) == (INTERNAL, "")
+    assert err.startswith("internal limit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_negative_counts_and_bounds_exit_two(capsys):
+    for argv in [
+        ["enumerate", "--family", "A", "--m", "2", "--n", "3", "--up-to", "-1"],
+        ["shelling", "--family", "A", "--m", "2", "--n", "3", "--max-states", "-1"],
+        ["verify", "--family", "A", "--m", "2", "--n", "3", "--max-states", "-1"],
+        ["count", "--family", "A", "--m", "2", "--n", "3", "--max-faces", "-1"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == USAGE
+        err = capsys.readouterr().err
+        assert "invalid non-negative int value: '-1'" in err and "Traceback" not in err
+    # zero is a valid count or bound, with its old meaning
+    code, out, _ = run(capsys, "enumerate", "--family", "A", "--m", "2", "--n", "3",
+                       "--up-to", "0", "--format", "json")
+    assert code == OK and json.loads(out)["result"]["f_vector_enumerated"] == [1]
+    code, _, err = run(capsys, "shelling", "--family", "A", "--m", "2", "--n", "3",
+                       "--max-states", "0")
+    assert code == RESOURCE and "exceeded 0 memoized states" in err
 
 
 def test_conflicting_source_options_exit_two(capsys):

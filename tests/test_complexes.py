@@ -250,6 +250,9 @@ def test_up_to_truncates_enumeration():
     params = PolygonParams(FAMILY_B, 2, 3)
     table = enumerate_faces(params, up_to=1)
     assert table.f_vector() == counting.f_vector(params)[:2]
+    assert enumerate_faces(params, up_to=0).f_vector() == (1,)
+    with pytest.raises(ValueError, match="up_to must be >= 0"):
+        enumerate_faces(params, up_to=-1)
 
 
 def test_region_sizes_of_empty_face_is_whole_polygon():

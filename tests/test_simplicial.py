@@ -1,5 +1,7 @@
 """Abstract complex operations, decomposition certificates, shellings."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -596,3 +598,100 @@ def test_generated_certificates_match_name_based_oracle(family, m, n):
     renamed = AbstractComplex({names[v] for v in f} for f in c.facets)
     renamed_prio = {names[v]: r for v, r in prio.items()}
     assert find_vertex_decomposition(renamed, renamed_prio) == oracle_find(renamed, renamed_prio)
+
+
+PIECE_NAMES = [f"v{i}" for i in range(18)]  # shuffled, as above
+disjoint_unions = st.tuples(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.lists(st.frozensets(st.integers(0, 5), min_size=k, max_size=k),
+                     min_size=1, max_size=6),
+            min_size=2, max_size=3,
+        )
+    ),
+    st.none() | st.permutations(PIECE_NAMES),
+    st.none() | st.dictionaries(st.integers(0, 17), st.integers(0, 3), max_size=9),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(disjoint_unions)
+def test_pruned_search_matches_name_based_oracle_on_disjoint_unions(case):
+    # piece j takes the vertices 6j ... 6j + 5, so the pieces share none
+    pieces, names, priority = case
+    facets = [frozenset(6 * j + v for v in f) for j, piece in enumerate(pieces) for f in piece]
+    if names is not None:
+        facets = [frozenset(names[v] for v in f) for f in facets]
+        priority = priority and {names[v]: r for v, r in priority.items()}
+    c = AbstractComplex(facets)
+    assert find_vertex_decomposition(c, priority) == oracle_find(c, priority)
+
+
+def brute_force_decomposable(facets):
+    """Whether some vertex sheds, trying every vertex: no memo, no pruning."""
+    if len(facets) <= 1:
+        return True
+    if len({len(f) for f in facets}) > 1:
+        return False
+    for v in set().union(*facets):
+        inside = [f - {v} for f in facets if v in f]
+        outside = [f for f in facets if v not in f]
+        if outside and not all(any(r < g for g in outside) for r in inside):
+            continue  # some link facet is a facet of the deletion, which is then impure
+        if brute_force_decomposable(inside) and (not outside or brute_force_decomposable(outside)):
+            return True
+    return False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(any_facets, pure_facets))
+def test_search_fails_exactly_when_brute_force_finds_nothing(facets):
+    c = AbstractComplex(facets)
+    cert = find_vertex_decomposition(c)
+    assert (cert is None) == (not brute_force_decomposable(list(c.facets)))
+    assert cert is None or shelling_from_decomposition(c, cert) is not None
+
+
+@pytest.mark.parametrize("facets,h", [
+    ([[f"x{i}"] for i in range(1500)], {0: 1, 1: 1499}),
+    ([[f"p{i:04d}", f"p{i + 1:04d}"] for i in range(1200)], {0: 1, 1: 1199}),
+])
+def test_search_runs_past_the_recursion_limit(facets, h):
+    assert len(facets) > sys.getrecursionlimit()
+    c = AbstractComplex(facets)
+    cert = find_vertex_decomposition(c)
+    order = shelling_from_decomposition(c, cert)
+    assert order is not None
+    assert verify_shelling(c, order).restriction_histogram() == h
+
+
+def test_connectivity_pruning_bounds_an_unordered_path(monkeypatch):
+    # v0 ... v22 do not sort in path order, so many subproblems are unions of
+    # paths; without pruning the search made 115 961 canonical forms (339 with)
+    calls = []
+
+    def counted(facets):
+        calls.append(facets)
+        return canonical_form(facets)
+
+    canonical_form = simplicial._canonical_form
+    monkeypatch.setattr(simplicial, "_canonical_form", counted)
+    c = AbstractComplex([f"v{i}", f"v{i + 1}"] for i in range(22))
+    cert = find_vertex_decomposition(c)
+    assert verify_shelling(c, shelling_from_decomposition(c, cert)).restriction_histogram() == {
+        0: 1, 1: 21,
+    }
+    assert len(calls) <= 1000
+
+
+def test_search_refuses_more_vertices_than_code_points():
+    class Huge:  # stands in for a complex with one vertex per code point and more
+        vertices = range(sys.maxunicode + 2)
+        facets = (frozenset({0, 1}), frozenset({1, 2}))
+
+        def is_pure(self):
+            return True
+
+    with pytest.raises(ResourceLimitError) as exc:
+        find_vertex_decomposition(Huge())
+    assert (exc.value.projected, exc.value.bound) == (sys.maxunicode + 2, sys.maxunicode + 1)
