@@ -2,9 +2,10 @@
 
 A complex is stored by its facet antichain, and its sorted `vertices` tuple
 is the one vertex order: facets sort by the positions of their vertices in
-it, and the memoized search for vertex decompositions runs on those
-positions, naming vertices only in the certificate it returns.  The module
-also provides the face operations (deletion, link, join, cone), one
+it.  The memoized search for vertex decompositions packs each facet into a
+string of those positions, fails disconnected subproblems of dimension at
+least 1 without searching them, and runs on an explicit stack; it names
+vertices only in the certificate it returns.  The module also provides the face operations (deletion, link, join, cone), one
 iterative walk that checks a certificate independently of the search and
 derives the shelling order it induces, and a checker for the shelling
 condition: each facet after the first must meet the union of its
@@ -283,21 +284,24 @@ def find_vertex_decomposition(
 
     def search(facets: list[str], key: tuple, order: str):
         """Yields link and deletion subproblems, is sent their certificates."""
-        cover: Optional[Counter] = None  # how many facets contain each ridge
+        free: Optional[set[str]] = None  # the ridges of exactly one facet
         result: Optional[Certificate] = None
-        for i, v in enumerate(sorted(order, key=candidate_key)):
+        # a string, not a list of one-character strings, is kept while suspended
+        for i, v in enumerate("".join(sorted(order, key=candidate_key))):
             if i == 1 and len(facets[0]) >= 2 and not _connected(facets):
                 break  # the first candidate failed and no candidate can succeed
             inside = [f for f in facets if v in f]
             outside = [f for f in facets if v not in f]
             link_facets = [f.replace(v, "") for f in inside]
             if outside:
-                if cover is None:
+                if free is None:
                     cover = Counter()
                     for k in range(len(facets[0])):  # ridges without each facet's k-th vertex
                         kth = map(itemgetter(k), facets)
                         cover.update(map(str.replace, facets, kth, repeat("")))
-                if any(cover[r] == 1 for r in link_facets):
+                    free = {r for r, n in cover.items() if n == 1}
+                    del cover  # the free ridges alone stay while subproblems run
+                if not free.isdisjoint(link_facets):
                     continue  # deletion would be impure
             cert_link = yield link_facets
             if cert_link is None:
