@@ -3,9 +3,10 @@
 A complex is stored by its facet antichain, and its sorted `vertices` tuple
 is the one vertex order: facets sort by the positions of their vertices in
 it.  The memoized search for vertex decompositions packs each facet into a
-string of those positions, fails disconnected subproblems of dimension at
-least 1 without searching them, and runs on an explicit stack; it names
-vertices only in the certificate it returns.  The module also provides the face operations (deletion, link, join, cone), one
+string of those positions, gives up on a disconnected subproblem of
+dimension at least 1 once its first candidate fails, and runs on an
+explicit stack; it names vertices only in the certificate it returns.  The
+module also provides the face operations (deletion, link, join, cone), one
 iterative walk that checks a certificate independently of the search and
 derives the shelling order it induces, and a checker for the shelling
 condition: each facet after the first must meet the union of its
