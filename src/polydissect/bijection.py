@@ -16,7 +16,7 @@ nothing per parameter set, so their cost follows the face, not the polygon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import Face, face_from_diagonals, is_face
 from .errors import InvalidImageError, MalformedFaceError
@@ -33,12 +33,10 @@ from .polygons import (
 )
 
 
-@dataclass(frozen=True)
-class BijectionImage:
+class BijectionImage(namedtuple("BijectionImage", "a eps")):
     """Code word (a, eps) for a face with len(a) diagonals."""
 
-    a: tuple[int, ...]
-    eps: tuple[int, ...]
+    __slots__ = ()
 
 
 def _peel(params: PolygonParams, pool: list[int]):

@@ -489,12 +489,9 @@ def _add_param_args(p: argparse.ArgumentParser, required: bool = True) -> None:
 def _non_negative_int(text: str) -> int:
     """argparse type of the counts and bounds: an int >= 0."""
     try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
-    return value
+        return complexes.non_negative_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common_args(p: argparse.ArgumentParser, formats=("table", "json")) -> None:

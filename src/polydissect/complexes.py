@@ -15,10 +15,10 @@ type-B complex have n, and each facet dissects the polygon into (m+2)-gons.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import counting
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, count_text
 from .polygons import (
     FAMILY_A,
     KIND_DIAMETER,
@@ -34,19 +34,39 @@ DEFAULT_MAX_FACES = 10_000_000
 MAX_FACES_ENV = "POLYDISSECT_MAX_FACES"
 
 
+def non_negative_int(text: str) -> int:
+    """`text` as an int >= 0; raises ValueError otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def max_faces_bound(explicit: int | None = None) -> int:
+    """The face bound: `explicit`, else the environment variable named by
+    MAX_FACES_ENV when set and nonempty, else DEFAULT_MAX_FACES.  Raises
+    ValueError, naming the variable, when it holds no int >= 0."""
     if explicit is not None:
         return explicit
     raw = os.environ.get(MAX_FACES_ENV)
-    return int(raw) if raw else DEFAULT_MAX_FACES
+    if not raw:
+        return DEFAULT_MAX_FACES
+    try:
+        return non_negative_int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{MAX_FACES_ENV}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Face:
-    """A face: a frozenset of pairwise compatible diagonals."""
+class Face(namedtuple("Face", "params diagonals")):
+    """A face: a frozenset of pairwise compatible diagonals.
 
-    params: PolygonParams
-    diagonals: frozenset[Diagonal]
+    `len` counts the diagonals, not the two fields.
+    """
+
+    __slots__ = ()
 
     def sorted_diagonals(self) -> list[Diagonal]:
         return sorted(self.diagonals, key=lambda d: d.sort_key)
@@ -55,13 +75,28 @@ class Face:
         return len(self.diagonals)
 
 
-@dataclass
 class FaceTable:
     """All faces of a complex, listed per cardinality in canonical order."""
 
-    params: PolygonParams
-    vertices: list[Diagonal]
-    by_cardinality: list[list[tuple[int, ...]]] = field(repr=False)
+    def __init__(
+        self,
+        params: PolygonParams,
+        vertices: list[Diagonal],
+        by_cardinality: list[list[tuple[int, ...]]],
+    ):
+        self.params = params
+        self.vertices = vertices
+        self.by_cardinality = by_cardinality
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.vertices, self.by_cardinality) == (
+            other.params, other.vertices, other.by_cardinality
+        )
+
+    def __repr__(self) -> str:
+        return f"FaceTable(params={self.params!r}, vertices={self.vertices!r})"
 
     def count(self, i: int) -> int:
         return len(self.by_cardinality[i]) if i < len(self.by_cardinality) else 0
@@ -113,7 +148,7 @@ def enumerate_faces(
     projected = sum(counting.count_faces(params, i) for i in range(top + 1))
     if projected > bound:
         raise ResourceLimitError(
-            f"projected face count {projected} exceeds bound {bound}",
+            f"projected face count {count_text(projected)} exceeds bound {bound}",
             projected=projected,
             bound=bound,
         )

@@ -1,6 +1,19 @@
 """Shared exception types."""
 
 
+def count_text(n: int) -> str:
+    """A count for a message: `n` in decimal, or, when `str` refuses it for
+    having too many digits, its first six digits and its length."""
+    try:
+        return str(n)
+    except ValueError:  # over sys.get_int_max_str_digits() digits
+        pass
+    digits = int(n.bit_length() * 0.30102999566398120)  # log10(2); at most one short
+    if 10 ** digits <= n:
+        digits += 1
+    return f"{n // 10 ** (digits - 6)}... ({digits} digits)"
+
+
 class PolydissectError(Exception):
     """Base class for library errors."""
 

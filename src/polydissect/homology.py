@@ -11,20 +11,32 @@ divided by the gcd of its entries.  No division is ever inexact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .simplicial import AbstractComplex, faces_by_dimension
 
 
-@dataclass
 class BoundaryMatrix:
     """Sparse signed boundary map from degree-k chains to degree-(k-1) chains."""
 
-    degree: int
-    rows: list[tuple]
-    cols: list[tuple]
-    entries: dict[tuple[int, int], int] = field(repr=False)
+    def __init__(
+        self, degree: int, rows: list[tuple], cols: list[tuple],
+        entries: dict[tuple[int, int], int],
+    ):
+        self.degree = degree
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.rows, self.cols, self.entries) == (
+            other.degree, other.rows, other.cols, other.entries
+        )
+
+    def __repr__(self) -> str:
+        return f"BoundaryMatrix(degree={self.degree!r}, rows={self.rows!r}, cols={self.cols!r})"
 
 
 def _boundary_entries(fbd: dict[int, list[tuple]], k: int) -> dict[tuple[int, int], int]:

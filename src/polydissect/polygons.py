@@ -19,8 +19,7 @@ length congruent to 1 mod m and short enough to leave a symmetric middle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 FAMILY_A = "A"
 FAMILY_B = "B"
@@ -30,11 +29,10 @@ KIND_DIAMETER = "diameter"  # type B antipodal chord
 KIND_PAIR = "pair"  # type B mirror pair, stored by its canonical chord
 
 
-class Chord(NamedTuple):
+class Chord(namedtuple("Chord", "a b")):
     """Unordered chord between two distinct positions, stored with a < b."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
 
 def chord(x: int, y: int) -> Chord:
@@ -61,21 +59,22 @@ def chords_cross(c1: Chord, c2: Chord, size: int) -> bool:
     return position_between(c1.a, c1.b, c2.a, size) != position_between(c1.a, c1.b, c2.b, size)
 
 
-@dataclass(frozen=True)
-class PolygonParams:
-    """Parameters (family, m, n) fixing a labeled polygon and its diagonals."""
+class PolygonParams(namedtuple("PolygonParams", "family m n")):
+    """Parameters (family, m, n) fixing a labeled polygon and its diagonals.
 
-    family: str
-    m: int
-    n: int
+    Immutable, and equal and hashed as the tuple of its fields.
+    """
 
-    def __post_init__(self):
-        if self.family not in (FAMILY_A, FAMILY_B):
-            raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, family: str, m: int, n: int):
+        if family not in (FAMILY_A, FAMILY_B):
+            raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        return super().__new__(cls, family, m, n)
 
     @property
     def size(self) -> int:
@@ -130,8 +129,7 @@ class PolygonParams:
         return "".join(ch + "̅" for ch in str(-lab))
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(namedtuple("Diagonal", "kind canonical")):
     """One vertex of a dissection complex.
 
     kind: KIND_CHORD for type A, KIND_DIAMETER / KIND_PAIR for type B.
@@ -140,8 +138,7 @@ class Diagonal:
     positive end to its antipode.
     """
 
-    kind: str
-    canonical: Chord
+    __slots__ = ()
 
     @property
     def sort_key(self) -> tuple[int, int, str]:

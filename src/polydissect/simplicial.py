@@ -10,20 +10,20 @@ module also provides the face operations (deletion, link, join, cone), one
 iterative walk that checks a certificate independently of the search and
 derives the shelling order it induces, and a checker for the shelling
 condition: each facet after the first must meet the union of its
-predecessors in a nonempty pure complex of codimension one.
+predecessors in a nonempty pure complex of codimension one.  The walk and
+the checker run on int bitmasks over the vertex positions.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from itertools import combinations, repeat
 from operator import itemgetter
-from typing import Iterable, Optional, Union
 
 from .complexes import max_faces_bound
-from .errors import NotAFaceError, ResourceLimitError, ShellingError
+from .errors import NotAFaceError, ResourceLimitError, ShellingError, count_text
 
 DEFAULT_MAX_STATES = 500_000
 
@@ -85,7 +85,7 @@ class AbstractComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
 
-    def impure_witness(self) -> Optional[frozenset]:
+    def impure_witness(self) -> frozenset | None:
         """A facet of non-maximal cardinality, or None when pure."""
         return None if self.is_pure() else self.facets[0]  # facets sort by size first
 
@@ -155,7 +155,7 @@ def faces_by_dimension(
             projected = len(closure)
         if projected > bound:
             raise ResourceLimitError(
-                f"face closure has at least {projected} faces, over bound {bound}",
+                f"face closure has at least {count_text(projected)} faces, over bound {bound}",
                 projected=projected,
                 bound=bound,
             )
@@ -170,21 +170,24 @@ def faces_by_dimension(
 # -- vertex decompositions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionLeaf:
-    """Certificate for a complex with at most one facet."""
+class DecompositionLeaf(namedtuple("DecompositionLeaf", ())):
+    """Certificate for a complex with at most one facet.
+
+    Certificates are immutable and equal and hashed as the tuples of their
+    fields; a leaf is the empty tuple, so test it with `isinstance`, not
+    truth.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecompositionNode:
+class DecompositionNode(namedtuple("DecompositionNode", "vertex link deletion")):
     """Certificate step: shed `vertex`; `deletion` is None in the cone case."""
 
-    vertex: object
-    link: "Certificate"
-    deletion: Optional["Certificate"]
+    __slots__ = ()
 
 
-Certificate = Union[DecompositionLeaf, DecompositionNode]
+Certificate = DecompositionLeaf | DecompositionNode
 
 
 def _canonical_form(facets: list[str]) -> tuple[tuple[int, str], str]:
@@ -214,7 +217,7 @@ def _rename(cert: "Certificate", mapping) -> "Certificate":
         order.append(node)
         if isinstance(node, DecompositionNode):
             stack += (node.link, node.deletion)
-    renamed: dict[int, Optional[Certificate]] = {}
+    renamed: dict[int, Certificate | None] = {}
     for node in reversed(order):  # children first
         if isinstance(node, DecompositionNode):
             renamed[id(node)] = DecompositionNode(
@@ -243,9 +246,9 @@ def _connected(facets: list[str]) -> bool:
 
 def find_vertex_decomposition(
     complex_: AbstractComplex,
-    priority: Optional[dict] = None,
+    priority: dict | None = None,
     max_states: int = DEFAULT_MAX_STATES,
-) -> Optional[Certificate]:
+) -> Certificate | None:
     """Search for a vertex decomposition; None when the complex has none.
 
     The search runs on packed facets: each is a string whose code points are
@@ -279,14 +282,14 @@ def find_vertex_decomposition(
         {c: (rank.get(v, len(rank)), c) for v, c in zip(names, chars)}.__getitem__
         if rank else None
     )
-    memo: dict[tuple, Optional[tuple[Certificate, str]]] = {}
+    memo: dict[tuple, tuple[Certificate, str] | None] = {}
     leaf = DecompositionLeaf()
     stack: list = []  # one generator per subproblem under search, innermost last
 
     def search(facets: list[str], key: tuple, order: str):
         """Yields link and deletion subproblems, is sent their certificates."""
-        free: Optional[set[str]] = None  # the ridges of exactly one facet
-        result: Optional[Certificate] = None
+        free: set[str] | None = None  # the ridges of exactly one facet
+        result: Certificate | None = None
         # a string, not a list of one-character strings, is kept while suspended
         for i, v in enumerate("".join(sorted(order, key=candidate_key))):
             if i == 1 and len(facets[0]) >= 2 and not _connected(facets):
@@ -319,7 +322,7 @@ def find_vertex_decomposition(
             memo[key] = (result, order)
         return result
 
-    def enter(facets: list[str]) -> Optional[Certificate]:
+    def enter(facets: list[str]) -> Certificate | None:
         """A subproblem's certificate, or None after pushing its search."""
         if len(facets) <= 1:
             return leaf
@@ -355,12 +358,10 @@ def verify_vertex_decomposition(complex_: AbstractComplex, cert: Certificate) ->
 # -- shellings -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
+class ShellingOrder(namedtuple("ShellingOrder", "facets restrictions")):
     """A verified shelling: facet order plus restriction set per facet."""
 
-    facets: tuple[frozenset, ...]
-    restrictions: tuple[frozenset, ...]
+    __slots__ = ()
 
     def restriction_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -373,42 +374,70 @@ class ShellingOrder:
         return tuple(hist.get(k, 0) for k in range(dim + 2))
 
 
+def _vertex_bits(complex_: AbstractComplex) -> dict:
+    """Each vertex's bit: 1 << its position in `complex_.vertices`."""
+    return {v: 1 << i for i, v in enumerate(complex_.vertices)}
+
+
 def shelling_from_decomposition(
     complex_: AbstractComplex, cert: Certificate
-) -> Optional[list[frozenset]]:
+) -> list[frozenset] | None:
     """Check a certificate in one stack-driven walk; its facet order, or None.
 
-    Shedding v splits the facets: the link is f - {v} for each facet f through
-    v, the deletion is the facets avoiding v; both stay pure antichains, so no
-    complex is built.  Checks: a pure root; v in a facet; a cone step with no
-    facet avoiding v; a shedding step with each f - {v} in a facet avoiding v;
-    a leaf with at most one facet.  Order: deletion's, then link's coned with v.
+    Every node holds the indices of the root facets that survive its path:
+    those through every vertex coned on the way down and avoiding every
+    vertex shed by a deletion step.  Shedding v splits them into the link
+    (through v, v coned) and the deletion (avoiding v, v shed); both stay
+    pure antichains, so no complex is built.  Checks: a pure root; v in a
+    facet and not already coned; a cone step with no facet avoiding v; a
+    shedding step whose deletion is pure; a leaf with at most one facet.
+    Facets and the coned and shed vertex sets are int bitmasks over the
+    positions of `complex_.vertices`.  The deletion is pure when each ridge
+    F - {v} of an inside facet F lies in a facet avoiding v, that is, when
+    a vertex other than v and the shed ones completes the ridge to a root
+    facet; a ridge index built once at the root maps each ridge to the OR
+    of its completing vertices.  Order: deletion's, then link's.
     """
     if not complex_.is_pure():
         return None
-    order, stack = [], [(list(complex_.facets), cert, frozenset())]  # apex: vertices to cone on
+    facets = complex_.facets
+    bit = _vertex_bits(complex_)
+    through: dict = {v: set() for v in bit}  # vertex -> indices of the facets through it
+    masks = []
+    for k, f in enumerate(facets):
+        masks.append(sum(map(bit.__getitem__, f)))
+        for v in f:
+            through[v].add(k)
+    completions: dict[int, int] = {}  # ridge -> the vertices completing it to a facet
+    for mask in masks:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            completions[mask ^ low] = completions.get(mask ^ low, 0) | low
+    order, stack = [], [(range(len(facets)), cert, 0, 0)]  # facet indices, node, coned, shed
     while stack:
-        facets, node, apex = stack.pop()
-        if isinstance(node, DecompositionLeaf) and len(facets) <= 1:
-            order.extend(f | apex for f in facets)
+        alive, node, coned, shed = stack.pop()
+        if isinstance(node, DecompositionLeaf) and len(alive) <= 1:
+            order.extend(map(facets.__getitem__, alive))
             continue
         if not isinstance(node, DecompositionNode):
             return None  # not a certificate, or a leaf with several facets
         v = node.vertex
-        inside = [f - {v} for f in facets if v in f]
-        outside = [f for f in facets if v not in f]
+        b = bit.get(v, 0) & ~coned
+        if not b:
+            return None  # v in no facet of the complex, or already coned
+        holders = through[v]
+        inside = [k for k in alive if k in holders]
+        outside = [k for k in alive if k not in holders]
         if not inside or (node.deletion is None) == bool(outside):
-            return None  # v in no facet, or not the step (cone or shedding) it claims
-        missing = set(inside) if outside else set()
-        for g in outside:
-            if not missing:
-                break
-            missing -= {g - {u} for u in g}
-        if missing:
-            return None  # some f - {v} is in no facet avoiding v: the deletion is impure
-        stack.append((inside, node.link, apex | {v}))
+            return None  # v already shed, or not the step (cone or shedding) it claims
+        keep = ~(b | shed)  # the vertices that may complete a ridge F - {v} in the deletion
+        if outside and not all(completions[masks[k] ^ b] & keep for k in inside):
+            return None  # some F - {v} is in no facet avoiding v: the deletion is impure
+        stack.append((inside, node.link, coned | b, shed))
         if outside:
-            stack.append((outside, node.deletion, apex))  # popped, so ordered, first
+            stack.append((outside, node.deletion, coned, shed | b))  # popped, so ordered, first
     return order
 
 
@@ -417,43 +446,45 @@ def verify_shelling(complex_: AbstractComplex, order: list[frozenset]) -> Shelli
 
     Returns the order with each facet's restriction set (its unique minimal
     new face).  The histogram of restriction sizes equals the h-vector of a
-    pure shellable complex.
+    pure shellable complex.  Facets and ridges are int bitmasks over the
+    positions of `complex_.vertices`, and each vertex keeps the bitmask of
+    the indices of the earlier facets through it.
     """
     if not complex_.is_pure():
         raise ShellingError("complex is not pure", step=0)
     if len(order) != len(set(order)) or set(order) != set(complex_.facets):
         raise ShellingError("order is not a permutation of the facets", step=0)
 
-    seen_subfaces: set[frozenset] = set()
-    containing: dict[object, set[int]] = {}
+    bit = _vertex_bits(complex_)
+    seen_ridges: set[int] = set()
+    holding = dict.fromkeys(bit, 0)  # vertex -> bitmask of the earlier facets through it
     restrictions: list[frozenset] = []
 
     for j, facet in enumerate(order):
-        if j == 0:
-            restrictions.append(frozenset())
-        else:
-            rest = frozenset(v for v in facet if facet - {v} in seen_subfaces)
+        mask = sum(map(bit.__getitem__, facet))
+        rest = frozenset(v for v in facet if mask ^ bit[v] in seen_ridges)
+        if j:
             if not rest:
                 raise ShellingError(
                     f"facet {j + 1} meets the earlier facets only in codimension >= 2",
                     step=j + 1,
                 )
-            holders: Optional[set[int]] = None
+            holders = -1  # the earlier facets containing the whole restriction
             for v in rest:
-                idxs = containing.get(v, set())
-                holders = set(idxs) if holders is None else holders & idxs
+                holders &= holding[v]
                 if not holders:
                     break
             if holders:
-                bad = min(holders)
+                bad = (holders & -holders).bit_length()
                 raise ShellingError(
-                    f"facet {j + 1} meets facet {bad + 1} outside its restriction faces",
+                    f"facet {j + 1} meets facet {bad} outside its restriction faces",
                     step=j + 1,
                 )
-            restrictions.append(rest)
+        restrictions.append(rest)
+        seen_ridges.update(mask ^ bit[v] for v in facet)
+        this = 1 << j
         for v in facet:
-            seen_subfaces.add(facet - {v})
-            containing.setdefault(v, set()).add(j)
+            holding[v] |= this
 
     return ShellingOrder(tuple(order), tuple(restrictions))
 

@@ -1,13 +1,15 @@
 """Command line behavior: formats, exit codes, determinism, file flows."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from polydissect import cli, simplicial
+from polydissect import cli, counting, simplicial
 from polydissect.cli import main
 
 OK, VIOLATION, USAGE, RESOURCE, INTERNAL = 0, 1, 2, 3, 4
@@ -234,6 +236,22 @@ def test_resource_limit_exits_three(capsys):
     assert "resource limit" in err
 
 
+def test_counts_too_long_to_print_exit_three(monkeypatch, capsys):
+    monkeypatch.setattr(counting, "count_faces", lambda params, i: 10 ** 5000)
+    code, out, err = run(capsys, "enumerate", "--family", "A", "--m", "2", "--n", "3")
+    assert (code, out) == (RESOURCE, "")
+    assert err == "resource limit: projected face count 300000... (5001 digits) " \
+                  "exceeds bound 10000000\n"
+
+
+@pytest.mark.parametrize("value", ["-5", "abc"])
+def test_invalid_max_faces_env_exits_two(monkeypatch, capsys, value):
+    monkeypatch.setenv("POLYDISSECT_MAX_FACES", value)
+    code, out, err = run(capsys, "enumerate", "--family", "A", "--m", "2", "--n", "3")
+    assert (code, out) == (USAGE, "")
+    assert err == f"error: POLYDISSECT_MAX_FACES: invalid non-negative int value: {value!r}\n"
+
+
 def test_imported_facet_closure_honours_the_face_bound(tmp_path, monkeypatch, capsys):
     wide = tmp_path / "wide.txt"
     wide.write_text(" ".join(f"x{i}" for i in range(12)) + "\n")  # 4096 faces
@@ -357,3 +375,17 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "facets: 5" in proc.stdout
+
+
+def test_cli_starts_without_dataclasses_inspect_or_typing():
+    # -S keeps site-packages .pth files, which may import typing, out of the check
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, polydissect.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -26,6 +26,7 @@ from polydissect.complexes import (
     region_sizes,
 )
 from polydissect.errors import ResourceLimitError
+from polydissect.simplicial import DecompositionLeaf, DecompositionNode
 from polydissect.polygons import (
     FAMILY_A,
     FAMILY_B,
@@ -327,6 +328,36 @@ def test_max_faces_env_override(monkeypatch):
     monkeypatch.delenv(MAX_FACES_ENV)
     assert max_faces_bound(None) == DEFAULT_MAX_FACES
     assert max_faces_bound(123) == 123
+
+
+def value_type_cases():
+    params = PolygonParams(FAMILY_B, 2, 3)
+    diagonal = all_diagonals(params)[0]
+    leaf = DecompositionLeaf()
+    return [
+        (params, ("family", "m", "n")),
+        (diagonal, ("kind", "canonical")),
+        (Face(params, frozenset([diagonal])), ("params", "diagonals")),
+        (leaf, ()),
+        (DecompositionNode(diagonal, leaf, None), ("vertex", "link", "deletion")),
+        (DecompositionNode(0, leaf, leaf), ("vertex", "link", "deletion")),
+    ]
+
+
+@pytest.mark.parametrize("value,fields", value_type_cases())
+def test_value_types_are_frozen_and_hash_like_their_field_tuples(value, fields):
+    # frozenset iteration order, and so report bytes, follows these hashes
+    assert hash(value) == hash(tuple(getattr(value, name) for name in fields))
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_certificate_nodes_keep_the_attributes_the_tracer_reads():
+    leaf = DecompositionLeaf()
+    node = DecompositionNode(5, leaf, None)
+    assert not hasattr(leaf, "vertex")
+    assert (node.vertex, node.link, node.deletion) == (5, leaf, None)
 
 
 def test_abstract_facets_reference_vertex_indices():

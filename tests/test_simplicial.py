@@ -14,6 +14,7 @@ from polydissect.simplicial import (
     AbstractComplex,
     DecompositionLeaf,
     DecompositionNode,
+    ShellingOrder,
     cone,
     deletion,
     faces_by_dimension,
@@ -127,6 +128,15 @@ def test_faces_by_dimension_honours_the_face_bound(monkeypatch):
         faces_by_dimension(simplex)
     with pytest.raises(ResourceLimitError):
         faces_by_dimension(cx([range(60)]))  # refused before 2**60 subsets
+
+
+def test_closure_bound_message_names_counts_too_long_to_print():
+    with pytest.raises(ResourceLimitError) as exc:
+        faces_by_dimension(cx([range(15000)]))
+    assert exc.value.projected == 2 ** 15000
+    assert str(exc.value) == (
+        "face closure has at least 281796... (4516 digits) faces, over bound 10000000"
+    )
 
 
 def test_five_cycle_decomposes_and_verifies():
@@ -475,6 +485,138 @@ def test_deep_certificate_walks_without_recursion():
     assert order == [frozenset({v}) for v in reversed(range(n))]
     assert verify_vertex_decomposition(c, cert)
     assert len(verify_shelling(c, order).restrictions) == n
+
+
+# -- the bitmask walk and check against the frozenset versions they replaced ----
+
+
+def frozenset_walk(complex_, cert):
+    """The certificate walk on frozensets: the link is f - {v} for each facet
+    f through v, and the deletion test looks for each f - {v} among the
+    ridges of the facets avoiding v."""
+    if not complex_.is_pure():
+        return None
+    order, stack = [], [(list(complex_.facets), cert, frozenset())]
+    while stack:
+        facets, node, apex = stack.pop()
+        if isinstance(node, DecompositionLeaf) and len(facets) <= 1:
+            order.extend(f | apex for f in facets)
+            continue
+        if not isinstance(node, DecompositionNode):
+            return None
+        v = node.vertex
+        inside = [f - {v} for f in facets if v in f]
+        outside = [f for f in facets if v not in f]
+        if not inside or (node.deletion is None) == bool(outside):
+            return None
+        missing = set(inside) if outside else set()
+        for g in outside:
+            if not missing:
+                break
+            missing -= {g - {u} for u in g}
+        if missing:
+            return None
+        stack.append((inside, node.link, apex | {v}))
+        if outside:
+            stack.append((outside, node.deletion, apex))
+    return order
+
+
+def frozenset_verify_shelling(complex_, order):
+    """The shelling check on frozensets: restriction vertices by ridge lookup,
+    holders as the intersection of per-vertex sets of facet indices."""
+    if not complex_.is_pure():
+        raise ShellingError("complex is not pure", step=0)
+    if len(order) != len(set(order)) or set(order) != set(complex_.facets):
+        raise ShellingError("order is not a permutation of the facets", step=0)
+    seen_subfaces, containing, restrictions = set(), {}, []
+    for j, facet in enumerate(order):
+        if j == 0:
+            restrictions.append(frozenset())
+        else:
+            rest = frozenset(v for v in facet if facet - {v} in seen_subfaces)
+            if not rest:
+                raise ShellingError(
+                    f"facet {j + 1} meets the earlier facets only in codimension >= 2",
+                    step=j + 1,
+                )
+            holders = None
+            for v in rest:
+                idxs = containing.get(v, set())
+                holders = set(idxs) if holders is None else holders & idxs
+                if not holders:
+                    break
+            if holders:
+                raise ShellingError(
+                    f"facet {j + 1} meets facet {min(holders) + 1} outside its restriction faces",
+                    step=j + 1,
+                )
+            restrictions.append(rest)
+        for v in facet:
+            seen_subfaces.add(facet - {v})
+            containing.setdefault(v, set()).add(j)
+    return ShellingOrder(tuple(order), tuple(restrictions))
+
+
+def walk_mutants(cert, coned=()):
+    """One mutation at one node: a wrong vertex, a vertex already coned on
+    the path, a vertex in no facet, a pretend cone, a pretend leaf."""
+    if isinstance(cert, DecompositionLeaf):
+        yield DecompositionNode(0, cert, None)
+        return
+    v, lk, dl = cert.vertex, cert.link, cert.deletion
+    yield DecompositionLeaf()
+    yield DecompositionNode((v + 1) % 6, lk, dl)
+    yield DecompositionNode("absent", lk, dl)
+    yield DecompositionNode(v, lk, None)
+    for u in coned[-1:]:
+        yield DecompositionNode(u, lk, dl)
+    for m in walk_mutants(lk, coned + (v,)):
+        yield DecompositionNode(v, m, dl)
+    if dl is not None:
+        for m in walk_mutants(dl, coned):
+            yield DecompositionNode(v, lk, m)
+
+
+def test_shelling_error_names_the_first_facet_holding_the_restriction():
+    # the sixth facet's restriction {0} lies in the first two facets
+    order = [frozenset(f) for f in [(0, 1, 2), (0, 1, 3), (1, 3, 4), (3, 4, 5), (4, 5, 6),
+                                    (0, 4, 5)]]
+    c = AbstractComplex(order)
+    for check in (verify_shelling, frozenset_verify_shelling):
+        with pytest.raises(ShellingError) as err:
+            check(c, order)
+        assert (str(err.value), err.value.step) == (
+            "facet 6 meets facet 1 outside its restriction faces", 6
+        )
+
+
+def shelling_outcome(check, complex_, order):
+    try:
+        return "ok", check(complex_, order)
+    except ShellingError as exc:
+        return "error", str(exc), exc.step
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(any_facets, pure_facets), random_certificates, st.data())
+def test_bitmask_walk_and_check_match_frozenset_oracles(facets, random_cert, data):
+    c = AbstractComplex(facets)
+    found = find_vertex_decomposition(c)
+    certs = [random_cert, plausible_certificate(list(c.facets), data.draw)]
+    if found is not None:
+        certs += [found, *walk_mutants(found)]
+    orders = [data.draw(st.permutations(c.facets)) for _ in range(3)]
+    for cert in certs:
+        order = shelling_from_decomposition(c, cert)
+        assert order == frozenset_walk(c, cert)
+        if order is not None:
+            orders.append(order)
+    for order in orders:
+        assert (
+            shelling_outcome(verify_shelling, c, order)
+            == shelling_outcome(frozenset_verify_shelling, c, order)
+        )
 
 
 # -- the position search against the name-based search it replaced -------------
