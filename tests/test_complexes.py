@@ -26,7 +26,6 @@ from polydissect.complexes import (
     region_sizes,
 )
 from polydissect.errors import ResourceLimitError
-from polydissect.simplicial import DecompositionLeaf, DecompositionNode
 from polydissect.polygons import (
     FAMILY_A,
     FAMILY_B,
@@ -36,6 +35,7 @@ from polydissect.polygons import (
     compatible,
     diameter,
 )
+from polydissect.simplicial import DecompositionLeaf, DecompositionNode
 
 SMALL_GRID = [
     (fam, m, n)
