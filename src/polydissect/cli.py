@@ -9,6 +9,7 @@ deterministic: repeated runs print identical bytes unless --timing is given.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import cached_property
@@ -595,5 +596,28 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Console entry point: `main()` on the process arguments, then exit
+    without tearing down the interpreter's heap.
+
+    The report is flushed first; a failed final write is reported like any
+    other OSError, on one `error:` line with exit code 2.  Exceptions other
+    than SystemExit leave the usual way.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's usage errors and --help
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or EXIT_OK
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -145,7 +145,7 @@ def enumerate_faces(
         raise ValueError(f"up_to must be >= 0, got {up_to}")
     bound = max_faces_bound(max_faces)
     top = params.rank if up_to is None else min(up_to, params.rank)
-    projected = sum(counting.count_faces(params, i) for i in range(top + 1))
+    projected = sum(counting.face_counts(params, top))
     if projected > bound:
         raise ResourceLimitError(
             f"projected face count {count_text(projected)} exceeds bound {bound}",

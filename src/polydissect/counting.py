@@ -31,9 +31,25 @@ def count_faces(params: PolygonParams, i: int) -> int:
     return comb(m * n + i, i) * comb(n, i)
 
 
+def face_counts(params: PolygonParams, top: int | None = None):
+    """`count_faces(params, i)` for i = 0 .. `top` (default: the rank), each
+    term from the one before by their ratio, with exact division."""
+    mn, n = params.m * params.n, params.n
+    a = params.family == FAMILY_A
+    term = 1  # no diagonals: the empty face
+    for i in range(params.rank if top is None else top):
+        yield term
+        if a:  # term i is C(mn+i+1, i) C(n, i+1) / n
+            num, den = (mn + i + 2) * (n - i - 1), (i + 1) * (i + 2)
+        else:  # term i is C(mn+i, i) C(n, i)
+            num, den = (mn + i + 1) * (n - i), (i + 1) ** 2
+        term = _exact_div(term * num, den, "face_counts")
+    yield term
+
+
 def f_vector(params: PolygonParams) -> tuple[int, ...]:
     """Closed-form f-vector (entry k = number of k-diagonal faces)."""
-    return tuple(count_faces(params, i) for i in range(params.rank + 1))
+    return tuple(face_counts(params))
 
 
 def narayana(params: PolygonParams, i: int) -> int:
@@ -51,14 +67,19 @@ def narayana_vector(params: PolygonParams) -> tuple[int, ...]:
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
-    """h-vector from an f-vector (both indexed 0..d, cardinality convention)."""
+    """h-vector from an f-vector (both indexed 0..d, cardinality convention).
+
+    h_k is the coefficient of x^(d-k) in sum_i f_i (x - 1)^(d-i), so the
+    polynomial with coefficients f is shifted by -1 with additions only
+    (Taylor shift by synthetic division).
+    """
     if not f or f[0] != 1:
         raise ValueError(f"f-vector must start with 1 (empty face), got {f!r}")
-    d = len(f) - 1
-    return tuple(
-        sum((-1) ** (k - i) * comb(d - i, d - k) * f[i] for i in range(k + 1))
-        for k in range(d + 1)
-    )
+    h = list(f)  # h[i]: the coefficient of x^(d-i)
+    for top in range(len(h) - 1, 0, -1):
+        for i in range(1, top + 1):
+            h[i] -= h[i - 1]
+    return tuple(h)
 
 
 def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,10 +17,9 @@ the checker run on int bitmasks over the vertex positions.
 from __future__ import annotations
 
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable
 from itertools import combinations, repeat
-from operator import itemgetter
 
 from .complexes import max_faces_bound
 from .errors import NotAFaceError, ResourceLimitError, ShellingError, count_text
@@ -39,12 +38,18 @@ def sort_vertices(items: Iterable) -> list:
         return sorted(items, key=lambda v: (v.__class__.__name__, repr(v)))
 
 
+def _by_positions(facets: Iterable[frozenset], vertices: list) -> list[frozenset]:
+    """Facets sorted by cardinality, then by the positions of their vertices
+    in `vertices`."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return sorted(facets, key=lambda f: (len(f), sorted(map(pos.__getitem__, f))))
+
+
 def sorted_facets(facets: Iterable[frozenset]) -> list[frozenset]:
     """Deterministic facet order: by cardinality, then by the positions of the
     facet's vertices in the `sort_vertices` order of all vertices."""
     facets = list(facets)
-    pos = {v: i for i, v in enumerate(sort_vertices(set().union(*facets)))}
-    return sorted(facets, key=lambda f: (len(f), sorted(map(pos.__getitem__, f))))
+    return _by_positions(facets, sort_vertices(set().union(*facets)))
 
 
 class AbstractComplex:
@@ -61,19 +66,23 @@ class AbstractComplex:
 
     def __init__(self, faces: Iterable[Iterable] = ()):
         sets = {frozenset(f) for f in faces}
-        # every proper superset of a face contains the face's rarest vertex,
-        # so only the sets holding that vertex are tested (all sets for the
-        # empty face, which is maximal only when it is the sole face)
-        holders: dict = {}
-        for g in sets:
-            for v in g:
-                holders.setdefault(v, []).append(g)
-        maximal = [
-            f for f in sets
-            if not any(f < g for g in min((holders[v] for v in f), key=len, default=sets))
-        ]
-        self.facets: tuple[frozenset, ...] = tuple(sorted_facets(maximal))
-        self.vertices: tuple = tuple(sort_vertices(holders))
+        vertices = sort_vertices(set().union(*sets))
+        maximal = sets  # sets of one size form an antichain
+        if len({len(f) for f in sets}) > 1:
+            # every proper superset of a face contains the face's rarest
+            # vertex, so only the sets holding that vertex are tested (all
+            # sets for the empty face, which is maximal only when it is the
+            # sole face)
+            holders: dict = {}
+            for g in sets:
+                for v in g:
+                    holders.setdefault(v, []).append(g)
+            maximal = [
+                f for f in sets
+                if not any(f < g for g in min((holders[v] for v in f), key=len, default=sets))
+            ]
+        self.facets: tuple[frozenset, ...] = tuple(_by_positions(maximal, vertices))
+        self.vertices: tuple = tuple(vertices)
 
     @property
     def dim(self) -> int:
@@ -244,6 +253,19 @@ def _connected(facets: list[str]) -> bool:
     return sum(u == r for u, r in parent.items()) == 1
 
 
+def _ridge_completions(facets: Iterable[Iterable], bit: dict) -> dict[int, int]:
+    """Each ridge of `facets`, as the bitmask of its vertices' bits in `bit`,
+    mapped to the OR of the bits of the vertices that complete it to one of
+    the facets."""
+    completions: dict[int, int] = {}
+    for f in facets:
+        mask = sum(map(bit.__getitem__, f))
+        for v in f:
+            b = bit[v]
+            completions[mask ^ b] = completions.get(mask ^ b, 0) | b
+    return completions
+
+
 def find_vertex_decomposition(
     complex_: AbstractComplex,
     priority: dict | None = None,
@@ -254,16 +276,25 @@ def find_vertex_decomposition(
     The search runs on packed facets: each is a string whose code points are
     the positions of its vertices in `complex_.vertices`, in increasing
     order.  Candidates are tried in `priority` order (missing vertices come
-    last), ties in vertex order.  Subproblems are memoized on their
-    canonical form, successes and failures alike, and capped at
-    `max_states`; a success is stored as found, with its vertex order, and
-    renamed only when another subproblem reuses it.  A subproblem of
-    dimension at least 1 whose first candidate fails is checked for
-    connectivity and fails at once when disconnected, since a shellable
-    complex of dimension at least 1 is connected.  An explicit stack of
-    generators, one per subproblem, drives the search, so its depth is not
-    bounded by the interpreter's recursion limit.  The certificate names the
-    complex's own vertices.
+    last), ties in vertex order.  A subproblem's facets are the root facets
+    through every vertex coned on its path and avoiding every vertex shed,
+    with the coned ones removed; it carries both vertex sets as bitmasks, so
+    a candidate v sheds to a pure deletion when, for each facet F through
+    it, some vertex other than v and the shed ones completes the ridge
+    (F + coned) - v to a root facet, looked up in a ridge index built once.
+
+    Subproblems are memoized on their canonical form, successes and
+    failures alike, and capped at `max_states`.  The canonical form is
+    computed lazily: a subproblem is first filed under its facet count,
+    facet size and vertex count, which the canonical form determines, and
+    only when a second one shares them are both keyed.  A success is stored
+    as found, with its vertex order, and renamed only when another
+    subproblem reuses it.  A subproblem of dimension at least 1 whose first
+    candidate fails is checked for connectivity and fails at once when
+    disconnected, since a shellable complex of dimension at least 1 is
+    connected.  An explicit stack of generators, one per subproblem, drives
+    the search, so its depth is not bounded by the interpreter's recursion
+    limit.  The certificate names the complex's own vertices.
     """
     names = complex_.vertices
     if len(complex_.facets) <= 1:
@@ -282,68 +313,82 @@ def find_vertex_decomposition(
         {c: (rank.get(v, len(rank)), c) for v, c in zip(names, chars)}.__getitem__
         if rank else None
     )
-    memo: dict[tuple, tuple[Certificate, str] | None] = {}
+    pos = dict(zip(names, chars))
+    root = ["".join(sorted(map(pos.__getitem__, f))) for f in complex_.facets]
+    bit = {c: 1 << i for i, c in enumerate(chars)}
+    completions = _ridge_completions(root, bit)
+    # (facet count, facet size, vertex count) -> the cell of the one
+    # subproblem filed there, or a dict from canonical key to cell; a cell is
+    # [certificate or None, the packed facets until keyed, then the order]
+    memo: dict[tuple, list | dict] = {}
+    states = 0
     leaf = DecompositionLeaf()
     stack: list = []  # one generator per subproblem under search, innermost last
 
-    def search(facets: list[str], key: tuple, order: str):
+    def search(facets: list[str], cell: list, candidates: str, coned: int, shed: int):
         """Yields link and deletion subproblems, is sent their certificates."""
-        free: set[str] | None = None  # the ridges of exactly one facet
         result: Certificate | None = None
-        # a string, not a list of one-character strings, is kept while suspended
-        for i, v in enumerate("".join(sorted(order, key=candidate_key))):
+        for i, v in enumerate(candidates):
             if i == 1 and len(facets[0]) >= 2 and not _connected(facets):
                 break  # the first candidate failed and no candidate can succeed
             inside = [f for f in facets if v in f]
             outside = [f for f in facets if v not in f]
-            link_facets = [f.replace(v, "") for f in inside]
+            b = bit[v]
             if outside:
-                if free is None:
-                    cover = Counter()
-                    for k in range(len(facets[0])):  # ridges without each facet's k-th vertex
-                        kth = map(itemgetter(k), facets)
-                        cover.update(map(str.replace, facets, kth, repeat("")))
-                    free = {r for r, n in cover.items() if n == 1}
-                    del cover  # the free ridges alone stay while subproblems run
-                if not free.isdisjoint(link_facets):
+                keep = ~(b | shed)  # the vertices that may complete a ridge in the deletion
+                if not all(
+                    completions[(sum(map(bit.__getitem__, f)) | coned) ^ b] & keep
+                    for f in inside
+                ):
                     continue  # deletion would be impure
-            cert_link = yield link_facets
+            cert_link = yield [f.replace(v, "") for f in inside], coned | b, shed
             if cert_link is None:
                 continue
             if not outside:
                 result = DecompositionNode(v, cert_link, None)
                 break
-            cert_del = yield outside
+            cert_del = yield outside, coned, shed | b
             if cert_del is None:
                 continue
             result = DecompositionNode(v, cert_link, cert_del)
             break
-        if result is not None:
-            memo[key] = (result, order)
+        cell[0] = result
         return result
 
-    def enter(facets: list[str]) -> Certificate | None:
+    def enter(facets: list[str], coned: int, shed: int) -> Certificate | None:
         """A subproblem's certificate, or None after pushing its search."""
+        nonlocal states
         if len(facets) <= 1:
             return leaf
-        key, order = _canonical_form(facets)
-        if key in memo:
-            stored = memo[key]
-            return None if stored is None else _rename(stored[0], dict(zip(stored[1], order)))
-        if len(memo) >= max_states:
+        # a string, not a list of one-character strings, is kept while suspended
+        candidates = "".join(sorted(set("".join(facets)), key=candidate_key))
+        shape = (len(facets), len(facets[0]), len(candidates))
+        filed = memo.get(shape)
+        if filed is None:
+            cell = [None, facets]
+            memo[shape] = cell
+        else:
+            if isinstance(filed, list):  # key the subproblem filed alone so far
+                key, filed[1] = _canonical_form(filed[1])
+                memo[shape] = filed = {key: filed}
+            key, order = _canonical_form(facets)
+            cell = filed.get(key)
+            if cell is not None:
+                return None if cell[0] is None else _rename(cell[0], dict(zip(cell[1], order)))
+            cell = filed[key] = [None, order]
+        if states >= max_states:
             raise ResourceLimitError(
                 f"decomposition search exceeded {max_states} memoized states",
                 bound=max_states,
             )
-        memo[key] = None
-        stack.append(search(facets, key, order))
+        states += 1
+        stack.append(search(facets, cell, candidates, coned, shed))
         return None
 
-    pos = dict(zip(names, chars))
-    found = enter(["".join(sorted(map(pos.__getitem__, f))) for f in complex_.facets])
+    found = enter(root, 0, 0)
     while stack:  # a fresh generator is sent None, a suspended one its answer
         try:
-            found = enter(stack[-1].send(found))
+            found = enter(*stack[-1].send(found))
         except StopIteration as done:
             stack.pop()
             found = done.value
@@ -384,42 +429,38 @@ def shelling_from_decomposition(
 ) -> list[frozenset] | None:
     """Check a certificate in one stack-driven walk; its facet order, or None.
 
-    Every node holds the indices of the root facets that survive its path:
-    those through every vertex coned on the way down and avoiding every
-    vertex shed by a deletion step.  Shedding v splits them into the link
-    (through v, v coned) and the deletion (avoiding v, v shed); both stay
-    pure antichains, so no complex is built.  Checks: a pure root; v in a
-    facet and not already coned; a cone step with no facet avoiding v; a
-    shedding step whose deletion is pure; a leaf with at most one facet.
-    Facets and the coned and shed vertex sets are int bitmasks over the
-    positions of `complex_.vertices`.  The deletion is pure when each ridge
-    F - {v} of an inside facet F lies in a facet avoiding v, that is, when
-    a vertex other than v and the shed ones completes the ridge to a root
-    facet; a ridge index built once at the root maps each ridge to the OR
-    of its completing vertices.  Order: deletion's, then link's.
+    Every node holds the root facets that survive its path, as a bitmask
+    over facet indices: those through every vertex coned on the way down
+    and avoiding every vertex shed by a deletion step.  Shedding v splits
+    them into the link (through v, v coned) and the deletion (avoiding v, v
+    shed) with one AND each against the facets through v; both stay pure
+    antichains, so no complex is built.  Checks: a pure root; v in a facet
+    and not already coned; a cone step with no facet avoiding v; a shedding
+    step whose deletion is pure; a leaf with at most one facet.  Facets and
+    the coned and shed vertex sets are int bitmasks over the positions of
+    `complex_.vertices`.  The deletion is pure when each ridge F - {v} of an
+    inside facet F lies in a facet avoiding v, that is, when a vertex other
+    than v and the shed ones completes the ridge to a root facet; a ridge
+    index built once at the root maps each ridge to the OR of its completing
+    vertices.  Order: deletion's, then link's.
     """
     if not complex_.is_pure():
         return None
     facets = complex_.facets
     bit = _vertex_bits(complex_)
-    through: dict = {v: set() for v in bit}  # vertex -> indices of the facets through it
+    through = dict.fromkeys(bit, 0)  # vertex -> bitmask of the indices of the facets through it
     masks = []
     for k, f in enumerate(facets):
         masks.append(sum(map(bit.__getitem__, f)))
         for v in f:
-            through[v].add(k)
-    completions: dict[int, int] = {}  # ridge -> the vertices completing it to a facet
-    for mask in masks:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            completions[mask ^ low] = completions.get(mask ^ low, 0) | low
-    order, stack = [], [(range(len(facets)), cert, 0, 0)]  # facet indices, node, coned, shed
+            through[v] |= 1 << k
+    completions = _ridge_completions(facets, bit)
+    order, stack = [], [((1 << len(facets)) - 1, cert, 0, 0)]  # facets, node, coned, shed
     while stack:
         alive, node, coned, shed = stack.pop()
-        if isinstance(node, DecompositionLeaf) and len(alive) <= 1:
-            order.extend(map(facets.__getitem__, alive))
+        if isinstance(node, DecompositionLeaf) and not alive & (alive - 1):
+            if alive:
+                order.append(facets[alive.bit_length() - 1])
             continue
         if not isinstance(node, DecompositionNode):
             return None  # not a certificate, or a leaf with several facets
@@ -427,14 +468,18 @@ def shelling_from_decomposition(
         b = bit.get(v, 0) & ~coned
         if not b:
             return None  # v in no facet of the complex, or already coned
-        holders = through[v]
-        inside = [k for k in alive if k in holders]
-        outside = [k for k in alive if k not in holders]
+        inside = alive & through[v]
+        outside = alive ^ inside
         if not inside or (node.deletion is None) == bool(outside):
             return None  # v already shed, or not the step (cone or shedding) it claims
-        keep = ~(b | shed)  # the vertices that may complete a ridge F - {v} in the deletion
-        if outside and not all(completions[masks[k] ^ b] & keep for k in inside):
-            return None  # some F - {v} is in no facet avoiding v: the deletion is impure
+        if outside:
+            keep = ~(b | shed)  # the vertices that may complete a ridge F - {v} in the deletion
+            rest = inside
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not completions[masks[low.bit_length() - 1] ^ b] & keep:
+                    return None  # F - {v} is in no facet avoiding v: the deletion is impure
         stack.append((inside, node.link, coned | b, shed))
         if outside:
             stack.append((outside, node.deletion, coned, shed | b))  # popped, so ordered, first

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism, file flows."""
 
+import errno
 import json
 import os
 import subprocess
@@ -237,10 +238,18 @@ def test_resource_limit_exits_three(capsys):
 
 
 def test_counts_too_long_to_print_exit_three(monkeypatch, capsys):
-    monkeypatch.setattr(counting, "count_faces", lambda params, i: 10 ** 5000)
+    monkeypatch.setattr(counting, "face_counts", lambda params, top: [10 ** 5000] * (top + 1))
     code, out, err = run(capsys, "enumerate", "--family", "A", "--m", "2", "--n", "3")
     assert (code, out) == (RESOURCE, "")
     assert err == "resource limit: projected face count 300000... (5001 digits) " \
+                  "exceeds bound 10000000\n"
+
+
+def test_projected_count_of_a_huge_complex_is_refused(capsys):
+    # the projection sums 3000 terms of about 11 700 digits each
+    code, out, err = run(capsys, "enumerate", "--family", "A", "--m", "3000", "--n", "3000")
+    assert (code, out) == (RESOURCE, "")
+    assert err == "resource limit: projected face count 640266... (11726 digits) " \
                   "exceeds bound 10000000\n"
 
 
@@ -375,6 +384,36 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "facets: 5" in proc.stdout
+
+
+def cli_process(*argv, **kwargs):
+    """`python -m polydissect.cli` with block-buffered output, as when installed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "polydissect.cli", *argv], text=True,
+                          env=env, timeout=120, **kwargs)
+
+
+def test_console_script_is_the_exiting_entry_point():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'polydissect = "polydissect.cli:run"' in pyproject
+
+
+def test_entry_point_keeps_usage_and_help_exit_codes():
+    proc = cli_process("count", "--family", "B", "--m", "2", capture_output=True)
+    assert proc.returncode == USAGE and proc.stdout == ""
+    assert proc.stderr.endswith("error: the following arguments are required: --n\n")
+    proc = cli_process("count", "--help", capture_output=True)
+    assert (proc.returncode, proc.stderr) == (OK, "")
+    assert proc.stdout.startswith("usage: polydissect count")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_final_write_exits_two_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = cli_process("count", "--family", "B", "--m", "2", "--n", "3",
+                           stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == USAGE
+    assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_cli_starts_without_dataclasses_inspect_or_typing():

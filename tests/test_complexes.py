@@ -152,7 +152,8 @@ def test_max_faces_bounds_raise_like_the_scan(fam, m, n, monkeypatch):
             got = _limit_error(enumerate_faces, params, up_to=up_to, max_faces=bound)
             assert got == _limit_error(scan_enumeration, params, up_to=up_to, max_faces=bound)
     # with the projection out of the way, the bound is met mid-enumeration
-    monkeypatch.setattr(counting, "count_faces", lambda params, i: 0)
+    monkeypatch.setattr(counting, "count_faces", lambda params, i: 0)  # the scan's
+    monkeypatch.setattr(counting, "face_counts", lambda params, top: [0])  # enumerate_faces'
     for bound in bounds:
         got = _limit_error(enumerate_faces, params, max_faces=bound)
         assert got == _limit_error(scan_enumeration, params, max_faces=bound)

@@ -1,8 +1,10 @@
 """Closed-form counts and vector transforms.
 
-The h-vector oracle expands sum_i f[i] * (x-1)^(d-i) with integer polynomial
-arithmetic and reads the h entries off the coefficients, independently of the
-binomial-sum implementation under test.
+The h-vector oracles are the binomial sum h_k = sum_i (-1)^(k-i) C(d-i, d-k)
+f_i, and an expansion of sum_i f[i] * (x-1)^(d-i) with integer polynomial
+arithmetic, both independent of the Taylor shift under test.  Face counts
+built from ratios of consecutive terms are checked against `count_faces`,
+the closed form in binomials.
 """
 
 import random
@@ -15,6 +17,7 @@ from polydissect.counting import (
     diameter_face_count,
     f_from_h,
     f_vector,
+    face_counts,
     facet_count,
     h_from_f,
     is_m_sequence,
@@ -58,6 +61,43 @@ def h_oracle(f):
         total = poly_add(total, term)
     total = total + [0] * (d + 1 - len(total))
     return tuple(total[d - k] for k in range(d + 1))
+
+
+def h_comb_oracle(f):
+    """The binomial sum for the h-vector."""
+    d = len(f) - 1
+    return tuple(
+        sum((-1) ** (k - i) * comb(d - i, d - k) * f[i] for i in range(k + 1))
+        for k in range(d + 1)
+    )
+
+
+def test_h_from_f_matches_binomial_sum():
+    rng = random.Random(20261019)
+    vectors = [f_vector(PolygonParams(fam, m, n)) for fam, m, n in GRID]
+    vectors += [f_vector(PolygonParams(FAMILY_B, 40, 40)),
+                f_vector(PolygonParams(FAMILY_A, 7, 60))]
+    for _ in range(100):
+        d = rng.randrange(0, 30)
+        vectors.append((1,) + tuple(rng.randrange(-10 ** 12, 10 ** 12) for _ in range(d)))
+    for f in vectors:
+        assert h_from_f(f) == h_comb_oracle(f)
+
+
+def test_face_counts_match_the_closed_form():
+    for fam in (FAMILY_A, FAMILY_B):
+        for m in range(1, 8):
+            for n in range(1, 16):
+                params = PolygonParams(fam, m, n)
+                closed = [count_faces(params, i) for i in range(params.rank + 1)]
+                assert list(face_counts(params)) == closed
+                assert f_vector(params) == tuple(closed)
+                for top in range(params.rank + 1):
+                    assert list(face_counts(params, top)) == closed[:top + 1]
+    for params in (PolygonParams(FAMILY_A, 300, 200), PolygonParams(FAMILY_B, 250, 180)):
+        assert sum(face_counts(params)) == sum(
+            count_faces(params, i) for i in range(params.rank + 1)
+        )
 
 
 def test_h_from_f_frozen_values():

@@ -1,6 +1,9 @@
 """Abstract complex operations, decomposition certificates, shellings."""
 
 import sys
+from collections import Counter
+from itertools import repeat
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +193,22 @@ def generated_b23():
     params = PolygonParams(FAMILY_B, 2, 3)
     table = enumerate_faces(params)
     return AbstractComplex(abstract_facets(table)), decomposition_priority(params, table.vertices)
+
+
+def test_search_keys_no_state_of_the_padded_path(monkeypatch):
+    # every subproblem of the path has its own facet count, so none is keyed
+    calls = []
+
+    def counted(facets):
+        calls.append(facets)
+        return canonical_form(facets)
+
+    canonical_form = simplicial._canonical_form
+    monkeypatch.setattr(simplicial, "_canonical_form", counted)
+    c, _ = padded_path()
+    cert = find_vertex_decomposition(c)
+    assert verify_vertex_decomposition(c, cert)
+    assert calls == []
 
 
 @pytest.mark.parametrize("make", [padded_path, generated_b23])
@@ -462,9 +481,20 @@ def naive_facets(faces):
 @given(st.one_of(
     st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=12),
     st.lists(st.lists(st.sampled_from("abcdef"), max_size=4), max_size=10),
+    # one size for every set, and few vertices, so the lists repeat sets
+    st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.frozensets(st.integers(0, 5), min_size=k, max_size=k),
+                           max_size=12)
+    ),
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.lists(st.sampled_from("abcd"), min_size=k, max_size=k,
+                                    unique=True), max_size=10)
+    ),
 ))
 def test_maximal_faces_match_naive_filter(faces):
-    assert AbstractComplex(faces).facets == naive_facets(faces)
+    c = AbstractComplex(faces)
+    assert c.facets == naive_facets(faces)
+    assert c.vertices == tuple(sort_vertices(set().union(*map(frozenset, faces))))
 
 
 def test_maximal_faces_edge_cases():
@@ -767,6 +797,118 @@ def test_pruned_search_matches_name_based_oracle_on_disjoint_unions(case):
         priority = priority and {names[v]: r for v, r in priority.items()}
     c = AbstractComplex(facets)
     assert find_vertex_decomposition(c, priority) == oracle_find(c, priority)
+
+
+def eager_find(complex_, priority=None, max_states=simplicial.DEFAULT_MAX_STATES):
+    """The packed search keying every subproblem on its canonical form, with
+    the free ridges of each subproblem counted afresh for the purity test."""
+    names = complex_.vertices
+    if len(complex_.facets) <= 1:
+        return DecompositionLeaf()
+    if not complex_.is_pure():
+        return None
+    chars = "".join(map(chr, range(len(names))))
+    rank = priority or {}
+    candidate_key = (
+        {c: (rank.get(v, len(rank)), c) for v, c in zip(names, chars)}.__getitem__
+        if rank else None
+    )
+    memo = {}
+    leaf = DecompositionLeaf()
+    stack = []
+
+    def search(facets, key, order):
+        free = None
+        result = None
+        for i, v in enumerate("".join(sorted(order, key=candidate_key))):
+            if i == 1 and len(facets[0]) >= 2 and not simplicial._connected(facets):
+                break
+            inside = [f for f in facets if v in f]
+            outside = [f for f in facets if v not in f]
+            link_facets = [f.replace(v, "") for f in inside]
+            if outside:
+                if free is None:
+                    cover = Counter()
+                    for k in range(len(facets[0])):
+                        kth = map(itemgetter(k), facets)
+                        cover.update(map(str.replace, facets, kth, repeat("")))
+                    free = {r for r, n in cover.items() if n == 1}
+                if not free.isdisjoint(link_facets):
+                    continue
+            cert_link = yield link_facets
+            if cert_link is None:
+                continue
+            if not outside:
+                result = DecompositionNode(v, cert_link, None)
+                break
+            cert_del = yield outside
+            if cert_del is None:
+                continue
+            result = DecompositionNode(v, cert_link, cert_del)
+            break
+        if result is not None:
+            memo[key] = (result, order)
+        return result
+
+    def enter(facets):
+        if len(facets) <= 1:
+            return leaf
+        key, order = simplicial._canonical_form(facets)
+        if key in memo:
+            stored = memo[key]
+            return None if stored is None else simplicial._rename(
+                stored[0], dict(zip(stored[1], order)))
+        if len(memo) >= max_states:
+            raise ResourceLimitError("too many states", bound=max_states)
+        memo[key] = None
+        stack.append(search(facets, key, order))
+        return None
+
+    pos = dict(zip(names, chars))
+    found = enter(["".join(sorted(map(pos.__getitem__, f))) for f in complex_.facets])
+    while stack:
+        try:
+            found = enter(stack[-1].send(found))
+        except StopIteration as done:
+            stack.pop()
+            found = done.value
+    return None if found is None else simplicial._rename(found, dict(zip(chars, names)))
+
+
+def renamed_case(facets, names, priority):
+    if names is not None:
+        facets = [frozenset(names[v] for v in f) for f in facets]
+        priority = priority and {names[v]: r for v, r in priority.items()}
+    return AbstractComplex(facets), priority
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(
+    named_pure_facets,
+    disjoint_unions.map(lambda case: (
+        [frozenset(6 * j + v for v in f) for j, piece in enumerate(case[0]) for f in piece],
+        case[1],
+        case[2],
+    )),
+))
+def test_lazily_keyed_search_matches_the_eagerly_keyed_one(case):
+    c, priority = renamed_case(*case)
+    assert find_vertex_decomposition(c, priority) == eager_find(c, priority)
+
+
+def outcome(find, *args, **kwargs):
+    try:
+        return find(*args, **kwargs)
+    except ResourceLimitError:
+        return "refused"
+
+
+@pytest.mark.parametrize("make", [padded_path, generated_b23])
+def test_state_bound_counts_the_states_of_the_eager_search(make):
+    c, prio = make()
+    for bound in (0, 1, 2, 3, 10, 29, 30, 31, 100, 298, 299, 300):
+        got = outcome(find_vertex_decomposition, c, prio, max_states=bound)
+        assert got == outcome(eager_find, c, prio, max_states=bound)
 
 
 def brute_force_decomposable(facets):
