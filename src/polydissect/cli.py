@@ -601,15 +601,11 @@ def run() -> None:
     without tearing down the interpreter's heap.
 
     The report is flushed first; a failed final write is reported like any
-    other OSError, on one `error:` line with exit code 2.  Exceptions other
-    than SystemExit leave the usual way.
+    other OSError, on one `error:` line with exit code 2.  Exceptions that
+    leave `main()`, argparse's usage errors and `--help` among them, end the
+    process the usual way.
     """
-    try:
-        code = main()
-    except SystemExit as exc:  # argparse's usage errors and --help
-        if exc.code is not None and not isinstance(exc.code, int):
-            raise
-        code = exc.code or EXIT_OK
+    code = main()
     try:
         sys.stdout.flush()
     except OSError as exc:
