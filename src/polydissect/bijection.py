@@ -12,6 +12,10 @@ stage walker, `_peel`, over int positions: the subpolygon is the cycle of
 not-yet-deleted positions, held as successor links, and the mirror is
 (p + half) % size on local ints.  Both validate their input first and build
 nothing per parameter set, so their cost follows the face, not the polygon.
+The checks run on integer positions: `encode` reads each diagonal's endpoint
+positions once, tests pairs with `polygons.pair_chord` (the test `b_pair`
+runs) and diameters by arithmetic, and runs the crossing test and its own
+scans on those tuples; `decode` draws each diagonal through `pair_chord`.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from .polygons import (
     FAMILY_B,
     KIND_DIAMETER,
     KIND_PAIR,
+    Chord,
     Diagonal,
     PolygonParams,
-    b_pair,
     constituent_positions,
-    diameter,
-    initial_position,
+    pair_chord,
+    pairwise_compatible,
 )
 
 
@@ -83,59 +87,73 @@ def _peel(params: PolygonParams, pool: list[int]):
         succ[(p + half) % size] = (q + half) % size
 
 
-def _check_b_face(face: Face) -> None:
+def _check_b_face(face: Face) -> list[tuple[tuple[int, int], ...]]:
+    """Raise MalformedFaceError unless `face` is a family-B face; return the
+    constituent positions of its diagonals, in `face.diagonals` order.
+
+    Each diagonal is checked on the integer endpoints of its canonical chord,
+    with the test `b_pair` uses for pairs, and the face's crossing test runs
+    on the same tuples.
+    """
     params = face.params
     if params.family != FAMILY_B:
         raise MalformedFaceError("the encoding is defined for family-B faces")
-    for d in face.diagonals:
-        try:
-            if d.kind == KIND_DIAMETER:
-                ok = diameter(params, d.canonical.a) == d
-            elif d.kind == KIND_PAIR:
-                ok = b_pair(params, d.canonical.a, d.canonical.b) == d
-            else:
+    size, m = params.size, params.m
+    half = size // 2
+    groups = constituent_positions(params, face.diagonals)
+    for d, g in zip(face.diagonals, groups):
+        a, b = g[0]
+        if d.kind == KIND_DIAMETER:
+            ok = 0 <= a < half and b == a + half
+        elif d.kind == KIND_PAIR:
+            try:
+                ok = 0 <= a < b < size and pair_chord(size, m, a, b) == (a, b)
+            except ValueError:
                 ok = False
-        except ValueError:
+        else:
             ok = False
         if not ok:
             raise MalformedFaceError(f"{d} is not a valid diagonal of this polygon")
-    if not is_face(face):
+    if not pairwise_compatible(groups):
         raise MalformedFaceError("diagonals are not pairwise compatible")
+    return groups
 
 
 def encode(face: Face) -> BijectionImage:
     """Map a face to its code word; raises MalformedFaceError on bad input."""
-    _check_b_face(face)
+    groups = _check_b_face(face)
     params = face.params
     size = params.size
     half = size // 2
 
-    work = face.sorted_diagonals()
-    chords = constituent_positions(params, work)
-    starts = [initial_position(d, params) for d in work]
+    # canonical order: distinct diagonals of a face have distinct first chords
+    work = sorted(zip(groups, face.diagonals))
+    chords = [g for g, _ in work]
+    # a diagonal starts where its center-free arc does; a diameter at its
+    # positively labeled end, which is its first endpoint
+    starts = [a if 2 * (b - a) <= size else b for (a, b), *_ in chords]
     pool = sorted(starts)
-    a_sorted = tuple(params.label_of_position(p) for p in pool)
-    # the diagonals not yet placed, by their chord sets, in sorted order
-    left = {frozenset(g): i for i, g in enumerate(chords)}
+    a_sorted = tuple(p + 1 for p in pool)  # initial points carry positive labels
+    # valid diagonals share no chord, and a stage's chord (p, q) with its
+    # mirror is a whole diagonal, so one chord names the diagonal drawn
+    by_chord = {c: i for i, g in enumerate(chords) for c in g}
+    left = dict.fromkeys(range(len(chords)))  # the diagonals not yet placed, in order
     eps = [0] * params.n
 
     for stage, p, q, window in _peel(params, pool):
         if p is None:
             raise MalformedFaceError("no initial point has a free window; not a face")
-        mp, mq = (p + half) % size, (q + half) % size
-        target = {(p, q) if p < q else (q, p)}
-        if q != mp:
-            target.add((mp, mq) if mp < mq else (mq, mp))
-        hit = left.pop(frozenset(target), None)
-        if hit is not None:
+        hit = by_chord.get((p, q) if p < q else (q, p))
+        if hit in left:
+            del left[hit]
             eps[stage] = 1
             pool.remove(starts[hit])
         removed = set(window)
         removed.update([(w + half) % size for w in window])
-        for i in left.values():
+        for i in left:
             for x, y in chords[i]:
                 if x in removed or y in removed:
-                    raise MalformedFaceError(f"{work[i]} touches a deleted vertex; not a face")
+                    raise MalformedFaceError(f"{work[i][1]} touches a deleted vertex; not a face")
 
     return BijectionImage(a_sorted, tuple(eps))
 
@@ -151,12 +169,13 @@ def decode(params: PolygonParams, a: tuple[int, ...], eps: tuple[int, ...]) -> F
         raise InvalidImageError(f"eps entries must be 0 or 1, got {eps!r}")
     if sum(eps) != len(a):
         raise InvalidImageError(f"eps has {sum(eps)} ones but a has {len(a)} entries")
-    if any(not 1 <= x <= params.half for x in a):
-        raise InvalidImageError(f"a entries must lie in 1..{params.half}, got {a!r}")
+    half = params.half
+    if any(not 1 <= x <= half for x in a):
+        raise InvalidImageError(f"a entries must lie in 1..{half}, got {a!r}")
     if list(a) != sorted(a):
         raise InvalidImageError(f"a must be weakly increasing, got {a!r}")
 
-    half = params.half
+    size = 2 * half
     pool = [x - 1 for x in a]
     diagonals: list[Diagonal] = []
 
@@ -164,10 +183,13 @@ def decode(params: PolygonParams, a: tuple[int, ...], eps: tuple[int, ...]) -> F
         if p is None:
             raise InvalidImageError(f"no eligible initial point at stage {stage + 1}")
         if eps[stage] == 1:
-            try:
-                d = diameter(params, p) if q == p + half else b_pair(params, p, q)
-            except ValueError as exc:
-                raise InvalidImageError(f"stage {stage + 1} drew an invalid diagonal: {exc}")
+            if q == p + half:
+                d = Diagonal(KIND_DIAMETER, Chord(p, q))  # p < half: p is pooled
+            else:
+                try:
+                    d = Diagonal(KIND_PAIR, Chord(*pair_chord(size, m, p, q)))
+                except ValueError as exc:
+                    raise InvalidImageError(f"stage {stage + 1} drew an invalid diagonal: {exc}")
             diagonals.append(d)
             pool.remove(p)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from operator import itemgetter
 
 from . import counting
 from .errors import ResourceLimitError, count_text
@@ -27,6 +28,7 @@ from .polygons import (
     PolygonParams,
     all_diagonals,
     constituent_positions,
+    pairwise_compatible,
     positions_cross,
 )
 
@@ -60,6 +62,10 @@ def max_faces_bound(explicit: int | None = None) -> int:
         raise ValueError(f"{MAX_FACES_ENV}: {exc}") from None
 
 
+# the order of `Diagonal.sort_key`, (canonical.a, canonical.b, kind)
+_CANONICAL_THEN_KIND = itemgetter(1, 0)
+
+
 class Face(namedtuple("Face", "params diagonals")):
     """A face: a frozenset of pairwise compatible diagonals.
 
@@ -69,7 +75,7 @@ class Face(namedtuple("Face", "params diagonals")):
     __slots__ = ()
 
     def sorted_diagonals(self) -> list[Diagonal]:
-        return sorted(self.diagonals, key=lambda d: d.sort_key)
+        return sorted(self.diagonals, key=_CANONICAL_THEN_KIND)
 
     def __len__(self) -> int:
         return len(self.diagonals)
@@ -120,12 +126,7 @@ def face_from_diagonals(params: PolygonParams, diagonals) -> Face:
 
 def is_face(face: Face) -> bool:
     """Pairwise compatibility test (the complex is flag)."""
-    groups = constituent_positions(face.params, face.diagonals)
-    for i, g in enumerate(groups):
-        for h in groups[i + 1:]:
-            if positions_cross(g, h):
-                return False
-    return True
+    return pairwise_compatible(constituent_positions(face.params, face.diagonals))
 
 
 def enumerate_faces(

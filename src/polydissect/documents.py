@@ -7,13 +7,18 @@ diagonal:
 
 Type-B barred labels are negative integers.  A pair [L, -L] is a diameter;
 any other pair names one constituent chord of a mirror pair (either one is
-accepted, the canonical one is emitted).  Reports carry a schema tag and the
-library version so downstream tooling can detect format changes.
+accepted, the canonical one is emitted).  A pair is checked with
+`polygons.pair_chord`, the integer test `b_pair` runs.  Reports carry a
+schema tag and the library version so downstream tooling can detect format
+changes.  `dump_json` writes documents and reports with the bytes of
+`json.dumps(doc, indent=2, sort_keys=True)`, without the stdlib's pure-Python
+indenting encoder for the values it writes itself.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
 from .complexes import Face, face_from_diagonals, is_face
@@ -22,12 +27,14 @@ from .polygons import (
     FAMILY_A,
     FAMILY_B,
     KIND_DIAMETER,
+    KIND_PAIR,
+    Chord,
     Diagonal,
     PolygonParams,
     a_diagonal,
-    b_pair,
     diameter,
     initial_position,
+    pair_chord,
 )
 
 REPORT_SCHEMA = "polydissect.report/1"
@@ -53,35 +60,34 @@ def diagonal_from_labels(params: PolygonParams, pair) -> Diagonal:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(type(x) is int for x in pair)  # no JSON booleans
+        or type(pair[0]) is not int  # no JSON booleans
+        or type(pair[1]) is not int
     ):
         raise FaceDocumentError(f"diagonal {pair!r} must be a pair of integer labels")
-    tag = list(pair)
     try:
         x = params.position_of_label(pair[0])
         y = params.position_of_label(pair[1])
     except ValueError as exc:
-        raise FaceDocumentError(f"diagonal {tag}: {exc}")
+        raise FaceDocumentError(f"diagonal {list(pair)}: {exc}")
     try:
         if params.family == FAMILY_A:
             return a_diagonal(params, x, y)
-        if params.mirror(x) == y:
+        size = params.size
+        if (x + size // 2) % size == y:
             return diameter(params, x)
-        return b_pair(params, x, y)
+        return Diagonal(KIND_PAIR, Chord(*pair_chord(size, params.m, x, y)))
     except ValueError as exc:
-        raise FaceDocumentError(f"diagonal {tag}: {exc}")
+        raise FaceDocumentError(f"diagonal {list(pair)}: {exc}")
 
 
 def diagonal_to_labels(params: PolygonParams, d: Diagonal) -> list[int]:
     """Signed label pair of the canonical chord, initial point first."""
+    a, b = d.canonical
     if d.kind == KIND_DIAMETER:
-        p = d.canonical.a
-        return [params.label_of_position(p), params.label_of_position(params.mirror(p))]
-    if params.family == FAMILY_A:
-        return [params.label_of_position(d.canonical.a), params.label_of_position(d.canonical.b)]
-    start = initial_position(d, params)
-    other = d.canonical.b if d.canonical.a == start else d.canonical.a
-    return [params.label_of_position(start), params.label_of_position(other)]
+        b = params.mirror(a)
+    elif params.family != FAMILY_A and initial_position(d, params) != a:
+        a, b = b, a
+    return [params.label_of_position(a), params.label_of_position(b)]
 
 
 def parse_face_document(doc: dict) -> Face:
@@ -90,12 +96,13 @@ def parse_face_document(doc: dict) -> Face:
     if not isinstance(raw, list):
         raise FaceDocumentError("field 'diagonals' must be a list of label pairs")
     diagonals = [diagonal_from_labels(params, pair) for pair in raw]
-    seen = set()
-    for pair, d in zip(raw, diagonals):
-        if d in seen:
-            raise FaceDocumentError(f"diagonal {list(pair)} appears twice")
-        seen.add(d)
     face = face_from_diagonals(params, diagonals)
+    if len(face.diagonals) != len(diagonals):
+        seen = set()
+        for pair, d in zip(raw, diagonals):
+            if d in seen:
+                raise FaceDocumentError(f"diagonal {list(pair)} appears twice")
+            seen.add(d)
     if not is_face(face):
         raise FaceDocumentError("diagonals are not pairwise compatible")
     return face
@@ -138,4 +145,61 @@ def make_report(command: str, params: dict, result, timing: float | None = None)
 
 
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, byte for byte.
+
+    With `indent` set, `json.dumps` runs the stdlib's pure-Python encoder.
+    This writer emits strings through the C escaper that encoder uses, and a
+    list of only ints or only strings with one join.  Every other value goes
+    to `json.dumps` itself: floats, empty containers, dicts with a key that is
+    not a string and unknown types, so their text and their errors stay the
+    same.  Documents nested too deeply for this writer go to `json.dumps`
+    whole.
+    """
+    out: list[str] = []
+    try:
+        _write(doc, "\n", out)
+    except RecursionError:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+_INT, _STR = {int}, {str}
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append `value` as `dump_json` writes it; `newline` is a line break
+    followed by the indent of the line that `value` starts on."""
+    kind = type(value)
+    if (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        kinds = {*map(type, value)}
+        if kinds == _INT:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        elif kinds == _STR:
+            out.append("[" + inner + ("," + inner).join(map(_escape, value)) + newline + "]")
+        else:
+            sep = "[" + inner
+            for x in value:
+                out.append(sep)
+                _write(x, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    elif kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is dict and value and {*map(type, value)} == _STR:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _escape(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # json.dumps output has no raw line breaks inside strings, so
+        # indenting every line break nests it exactly
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))

@@ -105,21 +105,24 @@ class PolygonParams(namedtuple("PolygonParams", "family m n")):
         """Signed label to position.  Type A labels are 1..size; type B labels
         are 1..m*n+1 (plain) and -1..-(m*n+1) (barred)."""
         if self.family == FAMILY_A:
-            if not 1 <= label <= self.size:
-                raise ValueError(f"label {label} out of range 1..{self.size}")
+            size = self.m * self.n + 2
+            if not 1 <= label <= size:
+                raise ValueError(f"label {label} out of range 1..{size}")
             return label - 1
-        if 1 <= label <= self.half:
+        half = self.m * self.n + 1
+        if 1 <= label <= half:
             return label - 1
-        if -self.half <= label <= -1:
-            return self.half + (-label) - 1
-        raise ValueError(f"label {label} out of range +-1..{self.half}")
+        if -half <= label <= -1:
+            return half - label - 1
+        raise ValueError(f"label {label} out of range +-1..{half}")
 
     def label_of_position(self, p: int) -> int:
-        if not 0 <= p < self.size:
-            raise ValueError(f"position {p} out of range 0..{self.size - 1}")
-        if self.family == FAMILY_A or p < self.half:
+        size = self.size
+        if not 0 <= p < size:
+            raise ValueError(f"position {p} out of range 0..{size - 1}")
+        if self.family == FAMILY_A or 2 * p < size:
             return p + 1
-        return -(p - self.half + 1)
+        return size // 2 - p - 1
 
     def label_text(self, p: int) -> str:
         """Human-readable label; barred labels get a combining overline."""
@@ -200,24 +203,34 @@ def b_pair(params: PolygonParams, x: int, y: int) -> Diagonal:
     if params.family != FAMILY_B:
         raise ValueError("b_pair needs family-B parameters")
     size = params.size
-    half = size // 2
-    c = chord(x % size, y % size)
-    t = c.b - c.a  # the anticlockwise arc from c.a to c.b
-    if min(t, size - t) < 2:
-        raise ValueError(f"chord {c} joins adjacent vertices")
+    return Diagonal(KIND_PAIR, Chord(*pair_chord(size, params.m, x % size, y % size)))
+
+
+def pair_chord(size: int, m: int, x: int, y: int) -> tuple[int, int]:
+    """Canonical constituent (a, b), a < b, of the type-B mirror pair through
+    positions x, y of a (size)-gon, on ints alone; the validity test of
+    `b_pair`, with its ValueError messages."""
+    if x == y:
+        raise ValueError(f"chord endpoints must differ, got {x} twice")
+    a, b = (x, y) if x < y else (y, x)
+    t = b - a  # the anticlockwise arc from a to b
+    if t < 2 or size - t < 2:
+        raise ValueError(f"chord {Chord(a, b)} joins adjacent vertices")
     if 2 * t == size:
-        raise ValueError(f"chord {c} is a diameter, not a pair constituent")
-    mir = chord((c.a + half) % size, (c.b + half) % size)
-    if positions_cross((c,), (mir,)):
-        raise ValueError(f"chord {c} crosses its mirror {mir}")
-    start, arc = (c.a, t) if 2 * t < size else (c.b, size - t)
-    if (arc - 1) % params.m != 0:
+        raise ValueError(f"chord {Chord(a, b)} is a diameter, not a pair constituent")
+    half = size // 2
+    c, d = (a + half) % size, (b + half) % size
+    if c > d:
+        c, d = d, c
+    if a < c < b < d or c < a < d < b:
+        raise ValueError(f"chord {Chord(a, b)} crosses its mirror {Chord(c, d)}")
+    start, arc = (a, t) if 2 * t < size else (b, size - t)
+    if (arc - 1) % m != 0:
         raise ValueError(
-            f"pair through {c} cuts off parts with {arc + 1} vertices, not 2 mod {params.m}"
+            f"pair through {Chord(a, b)} cuts off parts with {arc + 1} vertices, not 2 mod {m}"
         )
     # canonical constituent: the one whose travel starts at a positive label
-    canon = c if start < half else mir
-    return Diagonal(KIND_PAIR, canon)
+    return (a, b) if start < half else (c, d)
 
 
 def initial_position(d: Diagonal, params: PolygonParams) -> int:
@@ -274,6 +287,18 @@ def positions_cross(g, h) -> bool:
             if a < c < b < d or c < a < d < b:
                 return True
     return False
+
+
+def pairwise_compatible(groups) -> bool:
+    """True when no two groups of `constituent_positions` cross: the
+    compatibility test of a whole face on integer endpoints."""
+    for i, g in enumerate(groups):
+        for h in groups[i + 1:]:
+            for a, b in g:  # `positions_cross(g, h)`, inlined
+                for c, d in h:
+                    if a < c < b < d or c < a < d < b:
+                        return False
+    return True
 
 
 def compatible(d1: Diagonal, d2: Diagonal, params: PolygonParams) -> bool:

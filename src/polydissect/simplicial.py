@@ -218,23 +218,41 @@ def _canonical_form(facets: list[str]) -> tuple[tuple[int, str], str]:
     return (len(rows[0]), "".join(sorted(renumbered))), order
 
 
-def _rename(cert: "Certificate", mapping) -> "Certificate":
-    """The certificate with each vertex v replaced by mapping[v]."""
-    order, stack = [], [cert]
+class _Renamed(namedtuple("_Renamed", "cert mapping")):
+    """`cert` with each vertex v read as mapping[v], not yet rebuilt."""
+
+    __slots__ = ()
+
+
+def _rename(cert: "Certificate", mapping) -> _Renamed:
+    """The certificate with each vertex v replaced by mapping[v], as an O(1)
+    wrapper; `_materialize` rebuilds it."""
+    return _Renamed(cert, mapping)
+
+
+def _materialize(cert) -> "Certificate":
+    """`cert` rebuilt with every `_Renamed` applied, once, at the end of a
+    search.  A wrapper's mapping is composed with the ones around it when the
+    walk enters it, so a subtree is rebuilt only where the result holds it."""
+    order, stack = [], [(cert, None)]
     while stack:  # preorder, so each node comes before its link and deletion
-        node = stack.pop()
-        order.append(node)
+        node, mapping = stack.pop()
+        while isinstance(node, _Renamed):
+            inner = node.mapping
+            mapping = inner if mapping is None else {k: mapping[v] for k, v in inner.items()}
+            node = node.cert
+        order.append((node, mapping))
         if isinstance(node, DecompositionNode):
-            stack += (node.link, node.deletion)
-    renamed: dict[int, Certificate | None] = {}
-    for node in reversed(order):  # children first
+            stack += ((node.link, mapping), (node.deletion, mapping))
+    built: list[Certificate | None] = []
+    for node, mapping in reversed(order):  # children first: the deletion on top
         if isinstance(node, DecompositionNode):
-            renamed[id(node)] = DecompositionNode(
-                mapping[node.vertex], renamed[id(node.link)], renamed[id(node.deletion)]
-            )
+            deletion = built.pop()
+            vertex = node.vertex if mapping is None else mapping[node.vertex]
+            built.append(DecompositionNode(vertex, built.pop(), deletion))
         else:
-            renamed[id(node)] = node  # a leaf, or the None deletion of a cone step
-    return renamed[id(cert)]
+            built.append(node)  # a leaf, or the None deletion of a cone step
+    return built[0]
 
 
 def _connected(facets: list[str]) -> bool:
@@ -288,8 +306,9 @@ def find_vertex_decomposition(
     computed lazily: a subproblem is first filed under its facet count,
     facet size and vertex count, which the canonical form determines, and
     only when a second one shares them are both keyed.  A success is stored
-    as found, with its vertex order, and renamed only when another
-    subproblem reuses it.  A subproblem of dimension at least 1 whose first
+    as found, with its vertex order; a subproblem that reuses it gets an
+    O(1) renaming wrapper, and the certificate is rebuilt once, at the end,
+    with the mappings composed.  A subproblem of dimension at least 1 whose first
     candidate fails is checked for connectivity and fails at once when
     disconnected, since a shellable complex of dimension at least 1 is
     connected.  An explicit stack of generators, one per subproblem, drives
@@ -392,7 +411,7 @@ def find_vertex_decomposition(
         except StopIteration as done:
             stack.pop()
             found = done.value
-    return None if found is None else _rename(found, dict(zip(chars, names)))
+    return None if found is None else _materialize(_rename(found, dict(zip(chars, names))))
 
 
 def verify_vertex_decomposition(complex_: AbstractComplex, cert: Certificate) -> bool:

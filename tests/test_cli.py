@@ -16,6 +16,24 @@ from polydissect.cli import main
 OK, VIOLATION, USAGE, RESOURCE, INTERNAL = 0, 1, 2, 3, 4
 
 
+@pytest.fixture(autouse=True)
+def reports_match_the_stdlib_encoder(monkeypatch):
+    """Every report written in process here is also written by json.dumps,
+    and the two texts must be equal."""
+    mismatches = []
+
+    def checked(doc):
+        text = write(doc)
+        if text != json.dumps(doc, indent=2, sort_keys=True) + "\n":
+            mismatches.append(text)
+        return text
+
+    write = cli.dump_json
+    monkeypatch.setattr(cli, "dump_json", checked)
+    yield
+    assert mismatches == []
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

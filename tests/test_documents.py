@@ -215,3 +215,83 @@ def test_load_face_on_arbitrary_json_raises_only_document_errors(text):
 def test_load_face_on_near_miss_documents_raises_only_document_errors(text):
     _load_or_reject(text)
 
+
+
+def stdlib_dump(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def written(dump, doc):
+    """The text `dump` writes for `doc`, or the class and message it raises."""
+    try:
+        return dump(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+ODD_TEXT = st.sampled_from(["", "\x00\x1f\x7f\n\t", "\U0001f600 \U00010348", "\ud800", '"\\/', "é"])
+WRITER_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e300])
+    | st.text(max_size=8)
+    | ODD_TEXT
+)
+WRITER_KEYS = st.text(max_size=6) | ODD_TEXT
+WRITER_VALUES = st.recursive(
+    WRITER_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.lists(st.integers(), max_size=4)
+        | st.lists(WRITER_KEYS, max_size=4)
+        | st.dictionaries(WRITER_KEYS, inner, max_size=4)
+        | st.dictionaries(st.integers() | st.none() | st.booleans() | st.floats(), inner,
+                          max_size=3)
+        | st.just([[], {}, [[]], {"": {}}])
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(WRITER_VALUES)
+def test_dump_json_writes_the_bytes_of_the_stdlib_encoder(doc):
+    assert written(dump_json, doc) == written(stdlib_dump, doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [1, {2, 3}]},
+    {"b": {"c": [None, object()]}},
+    [1, 2, b"bytes"],
+    {"k": 1, 2: "mixed keys do not sort"},
+    {"big": [10**5000]},
+])
+def test_dump_json_raises_the_errors_of_the_stdlib_encoder(doc):
+    got = written(dump_json, doc)
+    assert not isinstance(got, str)
+    assert got == written(stdlib_dump, doc)
+
+
+def test_dump_json_hands_deep_documents_to_the_stdlib_encoder():
+    doc = []
+    for _ in range(5000):
+        doc = [doc]
+    for dump in (dump_json, stdlib_dump):
+        with pytest.raises(RecursionError):
+            dump(doc)
+    loop = {"a": []}
+    loop["a"].append(loop)
+    assert written(dump_json, loop) == written(stdlib_dump, loop)
+
+
+def test_dump_json_writes_every_face_document_of_the_codec_workload():
+    for params in (PolygonParams(FAMILY_B, 2, 4), PolygonParams(FAMILY_B, 3, 3)):
+        table = enumerate_faces(params)
+        for i in range(params.rank + 1):
+            for face in table.faces(i):
+                doc = face_to_document(face)
+                assert dump_json(doc) == stdlib_dump(doc)

@@ -872,7 +872,8 @@ def eager_find(complex_, priority=None, max_states=simplicial.DEFAULT_MAX_STATES
         except StopIteration as done:
             stack.pop()
             found = done.value
-    return None if found is None else simplicial._rename(found, dict(zip(chars, names)))
+    return None if found is None else simplicial._materialize(
+        simplicial._rename(found, dict(zip(chars, names))))
 
 
 def renamed_case(facets, names, priority):
