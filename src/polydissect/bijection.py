@@ -162,6 +162,8 @@ def decode(params: PolygonParams, a: tuple[int, ...], eps: tuple[int, ...]) -> F
     """Inverse of encode; raises InvalidImageError on a malformed code word."""
     if params.family != FAMILY_B:
         raise InvalidImageError("the encoding is defined for family B")
+    if any(type(x) is not int for x in (*a, *eps)):
+        raise InvalidImageError(f"code word entries must be ints, got a={a!r}, eps={eps!r}")
     m, n = params.m, params.n
     if len(eps) != n:
         raise InvalidImageError(f"eps must have {n} entries, got {len(eps)}")

@@ -137,6 +137,19 @@ def test_decode_validates_shape():
         decode(PolygonParams(FAMILY_A, 2, 3), (1,), (1, 0))  # wrong family
 
 
+@pytest.mark.parametrize("a,eps", [
+    ((1.0,), (1, 0)),
+    (("1",), (1, 0)),
+    ((True,), (1, 0)),
+    ((1,), (True, 0)),
+    ((1,), (1.0, 0)),
+])
+def test_decode_refuses_entries_that_are_not_ints(a, eps):
+    params = PolygonParams(FAMILY_B, 1, 2)
+    with pytest.raises(InvalidImageError, match="code word entries must be ints"):
+        decode(params, a, eps)
+
+
 def test_large_parameters_build_no_per_parameter_table():
     """B(40,40) has 64 040 diagonals and B(50,50) more: the codec must touch
     only the diagonals it is given, never all pairs of the polygon's."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polydissect import cli, counting, simplicial
+from polydissect import cli, complexes, counting, simplicial
 from polydissect.cli import main
 
 OK, VIOLATION, USAGE, RESOURCE, INTERNAL = 0, 1, 2, 3, 4
@@ -220,6 +220,21 @@ def test_verify_enumerates_at_most_once(monkeypatch, capsys):
                      "--suite", "bijection")
     assert code == OK
     assert calls == []
+
+
+def test_bijection_suite_builds_each_face_once(monkeypatch, capsys):
+    built = []
+    faces = complexes.FaceTable.faces
+
+    def counted(self, i):
+        built.append(i)
+        return faces(self, i)
+
+    monkeypatch.setattr(complexes.FaceTable, "faces", counted)
+    code, _, _ = run(capsys, "verify", "--family", "B", "--m", "1", "--n", "3",
+                     "--suite", "bijection")
+    assert code == OK
+    assert built == [0, 1, 2, 3]
 
 
 def test_shelling_builds_only_the_root_complex(monkeypatch, capsys):

@@ -132,6 +132,8 @@ def oracle_check_b_face(face):
 def oracle_decode(params, a, eps):
     if params.family != FAMILY_B:
         raise InvalidImageError("the encoding is defined for family B")
+    if any(type(x) is not int for x in (*a, *eps)):
+        raise InvalidImageError(f"code word entries must be ints, got a={a!r}, eps={eps!r}")
     m, n = params.m, params.n
     if len(eps) != n:
         raise InvalidImageError(f"eps must have {n} entries, got {len(eps)}")
