@@ -203,7 +203,7 @@ def write_inputs(directory: Path) -> None:
 def run_case(case: str) -> dict:
     """Run one case in the current directory; return its exit code and the
     sha256 of its stdout and stderr."""
-    from polydissect.cli import main
+    from polydissect.cli import main  # here, so the script can put src/ on the path first
 
     words = case.split()
     env = {"COLUMNS": "80", "POLYDISSECT_MAX_FACES": None}
