@@ -15,7 +15,7 @@ nothing per parameter set, so their cost follows the face, not the polygon.
 The checks run on integer positions: `encode` reads each diagonal's endpoint
 positions once, tests pairs with `polygons.pair_chord` (the test `b_pair`
 runs) and diameters by arithmetic, and runs the crossing test and its own
-scans on those tuples; `decode` draws each diagonal through `pair_chord`.
+scans on those tuples; `decode` draws each diagonal through `b_diagonal`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .polygons import (
     FAMILY_B,
     KIND_DIAMETER,
     KIND_PAIR,
-    Chord,
     Diagonal,
     PolygonParams,
+    b_diagonal,
     constituent_positions,
     pair_chord,
     pairwise_compatible,
@@ -164,7 +164,7 @@ def decode(params: PolygonParams, a: tuple[int, ...], eps: tuple[int, ...]) -> F
         raise InvalidImageError("the encoding is defined for family B")
     if any(type(x) is not int for x in (*a, *eps)):
         raise InvalidImageError(f"code word entries must be ints, got a={a!r}, eps={eps!r}")
-    m, n = params.m, params.n
+    n = params.n
     if len(eps) != n:
         raise InvalidImageError(f"eps must have {n} entries, got {len(eps)}")
     if any(e not in (0, 1) for e in eps):
@@ -177,7 +177,6 @@ def decode(params: PolygonParams, a: tuple[int, ...], eps: tuple[int, ...]) -> F
     if list(a) != sorted(a):
         raise InvalidImageError(f"a must be weakly increasing, got {a!r}")
 
-    size = 2 * half
     pool = [x - 1 for x in a]
     diagonals: list[Diagonal] = []
 
@@ -185,14 +184,10 @@ def decode(params: PolygonParams, a: tuple[int, ...], eps: tuple[int, ...]) -> F
         if p is None:
             raise InvalidImageError(f"no eligible initial point at stage {stage + 1}")
         if eps[stage] == 1:
-            if q == p + half:
-                d = Diagonal(KIND_DIAMETER, Chord(p, q))  # p < half: p is pooled
-            else:
-                try:
-                    d = Diagonal(KIND_PAIR, Chord(*pair_chord(size, m, p, q)))
-                except ValueError as exc:
-                    raise InvalidImageError(f"stage {stage + 1} drew an invalid diagonal: {exc}")
-            diagonals.append(d)
+            try:
+                diagonals.append(b_diagonal(params, p, q))
+            except ValueError as exc:
+                raise InvalidImageError(f"stage {stage + 1} drew an invalid diagonal: {exc}")
             pool.remove(p)
 
     face = face_from_diagonals(params, diagonals)

@@ -38,6 +38,14 @@ class _Violation(Exception):
     message alone on stderr and exits 1."""
 
 
+def _say(text: object) -> None:
+    """Print `text` on stderr; a failed write (a closed pipe) keeps the exit code."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _params(args) -> PolygonParams:
     return PolygonParams(args.family, args.m, args.n)
 
@@ -105,6 +113,8 @@ def _source(args):
     analysis, which is None for an imported facet list."""
     if args.facets_file:
         comp = simplicial.parse_facet_lines(_read_text(args.facets_file))
+        if not comp.facets:
+            raise ValueError(f"no facets in --facets-file {args.facets_file}: every line is blank")
         return comp, {"facets_file": args.facets_file}, None
     analysis = _Analysis(_params(args), args.max_faces)
     return analysis.complex, _params_dict(analysis.params), analysis
@@ -486,20 +496,20 @@ def main(argv=None) -> int:
                 print(f"time: {time.perf_counter() - started:.3f}s")
         return code
     except _Violation as exc:
-        print(exc, file=sys.stderr)
+        _say(exc)
         return EXIT_VIOLATION
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        _say(f"resource limit: {exc}")
         return EXIT_RESOURCE
     except (FaceDocumentError, MalformedFaceError, InvalidImageError, NotAFaceError,
             ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except PolydissectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_VIOLATION
     except (RecursionError, MemoryError) as exc:
-        print(f"internal limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        _say(f"internal limit: {str(exc) or type(exc).__name__}")
         return EXIT_INTERNAL
 
 
@@ -508,7 +518,8 @@ def run() -> None:
     without tearing down the interpreter's heap.
 
     The report is flushed first; a failed final write is reported like any
-    other OSError, on one `error:` line with exit code 2.  Exceptions that
+    other OSError, on one `error:` line with exit code 2.  A failed write to
+    stderr changes no exit code.  Exceptions that
     leave `main()`, argparse's usage errors and `--help` among them, end the
     process the usual way.
     """
@@ -516,9 +527,8 @@ def run() -> None:
     try:
         sys.stdout.flush()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         code = EXIT_USAGE
-    sys.stderr.flush()
     os._exit(code)
 
 

@@ -6,10 +6,12 @@ compatibility graph.  Diagonals are numbered in canonical order and each one
 gets an int bitmask of the later diagonals compatible with it; a face carries
 the mask of its candidate extensions, so adding diagonal k is one AND with
 row k (bitset clique enumeration, Bron-Kerbosch 1973; Tomita-Tanaka-Takahashi
-2006) and no face is produced twice.  `is_face` tests chord pairs on integer
-endpoints and builds no per-parameter table, so documents of any size stay
-cheap.  Facets of the type-A complex have n-1 diagonals, facets of the
-type-B complex have n, and each facet dissects the polygon into (m+2)-gons.
+2006) and no face is produced twice.  Every function here reads a diagonal's
+chords as integer endpoint pairs, from `polygons.constituent_positions`;
+`is_face` builds no per-parameter table, so documents of any size stay cheap.
+Facets of the type-A complex have n-1 diagonals, facets of the type-B
+complex have n, and each facet dissects the polygon into (m+2)-gons, which
+`region_sizes` checks in one pass over the chords.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from operator import itemgetter
 from . import counting
 from .errors import ResourceLimitError, count_text
 from .polygons import (
-    FAMILY_A,
     KIND_DIAMETER,
-    Chord,
     Diagonal,
     PolygonParams,
     all_diagonals,
@@ -219,41 +219,30 @@ def check_pure(table: FaceTable) -> Face | None:
 
 
 def region_sizes(face: Face) -> list[int]:
-    """Vertex counts of the planar regions cut out by the face's chords.
+    """Vertex counts of the planar regions cut out by the face's chords, sorted.
 
-    The chords of a face never cross, so each chord splits its region in two;
-    the sizes are computed by recursive splitting of the boundary cycle.
+    Each chord (a, b), a < b, bounds the region on its side of positions
+    a..b: b - a + 1 vertices less the interior vertices of the chords right
+    inside it.  One pass over the chords by first endpoint, longest first,
+    keeps the chords that enclose the current one on a stack, under the whole
+    polygon as (0, size - 1).  Raises ValueError when two chords cross.
     Every facet must produce regions that are all (m+2)-gons.
     """
-    params = face.params
-    chords: list[Chord] = []
-    for d in face.sorted_diagonals():
-        chords.extend(d.constituents(params))
-
-    def split(cycle: tuple[int, ...], pending: list[Chord]) -> list[int]:
-        if not pending:
-            return [len(cycle)]
-        c = pending[0]
-        pos = {p: i for i, p in enumerate(cycle)}
-        ia, ib = pos[c.a], pos[c.b]
-        if ia > ib:
-            ia, ib = ib, ia
-        side1 = cycle[ia : ib + 1]
-        side2 = cycle[ib:] + cycle[: ia + 1]
-        in1, in2 = set(side1), set(side2)
-        rest1, rest2 = [], []
-        for other in pending[1:]:
-            # noncrossing chords fall entirely on one side; ties (shared
-            # endpoints) resolve by whichever side contains both endpoints
-            if other.a in in1 and other.b in in1 and not (other.a in in2 and other.b in in2):
-                rest1.append(other)
-            elif other.a in in2 and other.b in in2:
-                rest2.append(other)
-            else:
-                raise ValueError(f"chord {other} crosses {c}; not a face")
-        return split(side1, rest1) + split(side2, rest2)
-
-    return sorted(split(tuple(range(params.size)), chords))
+    groups = constituent_positions(face.params, face.diagonals)
+    chords = sorted((c for g in groups for c in g), key=lambda c: (c[0], -c[1]))
+    top = face.params.size - 1
+    stack = [[0, top, top + 1]]  # [a, b, vertices of the region under (a, b)]
+    sizes = []
+    for a, b in chords:
+        while stack[-1][1] <= a:
+            sizes.append(stack.pop()[2])
+        outer = stack[-1]
+        if b > outer[1]:
+            raise ValueError(f"chord {(a, b)} crosses {tuple(outer[:2])}; not a face")
+        outer[2] -= b - a - 1
+        stack.append([a, b, b - a + 1])
+    sizes.extend(entry[2] for entry in stack)
+    return sorted(sizes)
 
 
 def facet_region_audit(face: Face) -> bool:
@@ -292,23 +281,11 @@ def decomposition_priority(params: PolygonParams, vertices: list[Diagonal]) -> d
     at the same corner ordered clockwise by their other endpoint.
     """
     m, size = params.m, params.size
-    corners = list(range(1, m + 1))
-
-    def endpoint_positions(d: Diagonal) -> set[int]:
-        out: set[int] = set()
-        for c in d.constituents(params):
-            out.update(c)
-        return out
-
-    def key(idx_d: tuple[int, Diagonal]) -> tuple:
-        idx, d = idx_d
-        pts = endpoint_positions(d)
-        for rank, corner in enumerate(corners):
-            if corner in pts:
-                others = [p for c in d.constituents(params) if corner in c for p in c if p != corner]
-                clockwise = min((corner - p) % size for p in others)
-                return (rank, clockwise, d.sort_key)
-        return (len(corners), 0, d.sort_key)
-
-    ranked = sorted(enumerate(vertices), key=key)
-    return {idx: pos for pos, (idx, _d) in enumerate(ranked)}
+    keys = []
+    for idx, g in enumerate(constituent_positions(params, vertices)):
+        # `size` is no position, so a diagonal off the corners sorts last
+        corner = min((p for c in g for p in c if 1 <= p <= m), default=size)
+        clockwise = min(((corner - (b if a == corner else a)) % size
+                         for a, b in g if corner in (a, b)), default=0)
+        keys.append((corner, clockwise, vertices[idx].sort_key, idx))
+    return {idx: pos for pos, (*_, idx) in enumerate(sorted(keys))}

@@ -7,12 +7,12 @@ diagonal:
 
 Type-B barred labels are negative integers.  A pair [L, -L] is a diameter;
 any other pair names one constituent chord of a mirror pair (either one is
-accepted, the canonical one is emitted).  A pair is checked with
-`polygons.pair_chord`, the integer test `b_pair` runs.  Reports carry a
-schema tag and the library version so downstream tooling can detect format
-changes.  `dump_json` writes documents and reports with the bytes of
-`json.dumps(doc, indent=2, sort_keys=True)`, without the stdlib's pure-Python
-indenting encoder for the values it writes itself.
+accepted, the canonical one is emitted); `polygons.b_diagonal` tells the two
+apart and checks them.  Reports carry a schema tag and the library version so
+downstream tooling can detect format changes.  `dump_json` writes documents
+and reports with the bytes of `json.dumps(doc, indent=2, sort_keys=True)`,
+without the stdlib's pure-Python indenting encoder for the values it writes
+itself.
 """
 
 from __future__ import annotations
@@ -27,14 +27,11 @@ from .polygons import (
     FAMILY_A,
     FAMILY_B,
     KIND_DIAMETER,
-    KIND_PAIR,
-    Chord,
     Diagonal,
     PolygonParams,
     a_diagonal,
-    diameter,
+    b_diagonal,
     initial_position,
-    pair_chord,
 )
 
 REPORT_SCHEMA = "polydissect.report/1"
@@ -64,18 +61,9 @@ def diagonal_from_labels(params: PolygonParams, pair) -> Diagonal:
         or type(pair[1]) is not int
     ):
         raise FaceDocumentError(f"diagonal {pair!r} must be a pair of integer labels")
+    make = a_diagonal if params.family == FAMILY_A else b_diagonal
     try:
-        x = params.position_of_label(pair[0])
-        y = params.position_of_label(pair[1])
-    except ValueError as exc:
-        raise FaceDocumentError(f"diagonal {list(pair)}: {exc}")
-    try:
-        if params.family == FAMILY_A:
-            return a_diagonal(params, x, y)
-        size = params.size
-        if (x + size // 2) % size == y:
-            return diameter(params, x)
-        return Diagonal(KIND_PAIR, Chord(*pair_chord(size, params.m, x, y)))
+        return make(params, params.position_of_label(pair[0]), params.position_of_label(pair[1]))
     except ValueError as exc:
         raise FaceDocumentError(f"diagonal {list(pair)}: {exc}")
 

@@ -187,11 +187,9 @@ def diameter(params: PolygonParams, p: int) -> Diagonal:
     """Type-B diameter through position p and its antipode."""
     if params.family != FAMILY_B:
         raise ValueError("diameter needs family-B parameters")
-    size = params.size
-    half = size // 2
-    p %= size
-    # canonical end is the positively labeled one
-    return Diagonal(KIND_DIAMETER, Chord(p, p + half) if p < half else Chord(p - half, p))
+    half = params.half
+    p %= half  # the canonical end, the positively labeled one
+    return Diagonal(KIND_DIAMETER, Chord(p, p + half))
 
 
 def b_pair(params: PolygonParams, x: int, y: int) -> Diagonal:
@@ -204,6 +202,19 @@ def b_pair(params: PolygonParams, x: int, y: int) -> Diagonal:
         raise ValueError("b_pair needs family-B parameters")
     size = params.size
     return Diagonal(KIND_PAIR, Chord(*pair_chord(size, params.m, x % size, y % size)))
+
+
+def b_diagonal(params: PolygonParams, x: int, y: int) -> Diagonal:
+    """Type-B diagonal through positions x, y: the diameter when they are
+    antipodal, else the mirror pair that `b_pair` builds, with its
+    ValueError."""
+    if params.family != FAMILY_B:
+        raise ValueError("b_diagonal needs family-B parameters")
+    size = params.size
+    x, y = x % size, y % size
+    if (x - y) % size == size // 2:
+        return diameter(params, x)
+    return Diagonal(KIND_PAIR, Chord(*pair_chord(size, params.m, x, y)))
 
 
 def pair_chord(size: int, m: int, x: int, y: int) -> tuple[int, int]:
@@ -261,15 +272,14 @@ def constituent_positions(
     The integer twin of `Diagonal.constituents` for batch use: the half-turn
     is read from the parameters once, not once per chord.
     """
-    size = half = None
+    size = params.size
+    half = size // 2  # the half-turn, for family B; pairs are B-only
     out = []
     for d in diagonals:
         c = d.canonical
         if d.kind != KIND_PAIR:
             out.append(((c.a, c.b),))
             continue
-        if half is None:  # read only when a pair is present: half is B-only
-            size, half = params.size, params.half
         x, y = (c.a + half) % size, (c.b + half) % size
         out.append(((c.a, c.b), (x, y) if x < y else (y, x)))
     return out
@@ -311,29 +321,17 @@ def compatible(d1: Diagonal, d2: Diagonal, params: PolygonParams) -> bool:
 
 
 def all_diagonals(params: PolygonParams) -> list[Diagonal]:
-    """Every valid diagonal, sorted by canonical chord positions."""
-    out: list[Diagonal] = []
-    size = params.size
+    """Every valid diagonal, sorted by canonical chord positions.  A type-B
+    pair is found through both of its constituents and kept once."""
     if params.family == FAMILY_A:
-        for x in range(size):
-            for y in range(x + 1, size):
-                try:
-                    out.append(a_diagonal(params, x, y))
-                except ValueError:
-                    pass
+        make, found = a_diagonal, set()
     else:
-        for p in range(params.half):
-            out.append(diameter(params, p))
-        seen: set[Chord] = set()
-        for x in range(size):
-            for y in range(x + 1, size):
-                try:
-                    d = b_pair(params, x, y)
-                except ValueError:
-                    continue
-                if d.canonical not in seen:
-                    seen.add(d.canonical)
-                    out.append(d)
-    out.sort(key=lambda d: d.sort_key)
-    return out
-
+        make, found = b_pair, {diameter(params, p) for p in range(params.half)}
+    size = params.size
+    for x in range(size):
+        for y in range(x + 1, size):
+            try:
+                found.add(make(params, x, y))
+            except ValueError:
+                pass
+    return sorted(found, key=lambda d: d.sort_key)

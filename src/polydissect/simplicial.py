@@ -56,8 +56,9 @@ class AbstractComplex:
     """Finite simplicial complex given by its facets.
 
     Vertices may be any hashable, mutually sortable values (ints, strings);
-    `vertices` holds them in `sort_vertices` order.  Faces passed to the constructor are closed downward implicitly: only the
-    maximal ones are kept.  The void complex (no faces at all) has an empty
+    `vertices` holds them in `sort_vertices` order.  Faces passed to the
+    constructor are closed downward implicitly: only the maximal ones are
+    kept.  The void complex (no faces at all) has an empty
     facet tuple; the complex whose only face is empty has the single facet
     frozenset().
     """

@@ -178,6 +178,15 @@ def test_impure_import_exits_with_violation(tmp_path, capsys):
     assert "impure" in err
 
 
+@pytest.mark.parametrize("command", ["shelling", "homology"])
+def test_import_without_facets_exits_two(tmp_path, capsys, command):
+    lines = tmp_path / "blank.txt"
+    lines.write_text("\n  \n")
+    code, out, err = run(capsys, command, "--facets-file", str(lines), "--format", "json")
+    assert (code, out) == (USAGE, "")
+    assert err == f"error: no facets in --facets-file {lines}: every line is blank\n"
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "--family", "B", "--m", "1", "--n", "2")
     assert code == OK
@@ -447,6 +456,25 @@ def test_failed_final_write_exits_two_with_one_error_line():
                            stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == USAGE
     assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "B", "--m", "1", "--n", "3"),
+    # 180 KiB of lines, so the write fails inside `main`, not at the last flush
+    ("facets", "--family", "A", "--m", "3", "--n", "6", "--format", "lines"),
+])
+@pytest.mark.parametrize("stderr_closed", [False, True])
+def test_closed_output_pipe_exits_two(argv, stderr_closed):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(*argv, stdout=write_end,
+                           stderr=write_end if stderr_closed else subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == USAGE
+    if not stderr_closed:
+        assert proc.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
 def test_cli_starts_without_dataclasses_inspect_or_typing():

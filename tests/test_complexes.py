@@ -1,6 +1,8 @@
 """Face enumeration against closed forms, a brute-force clique oracle and
-the pairwise scan enumeration that the bitmask enumeration replaced."""
+the pairwise scan enumeration that the bitmask enumeration replaced; the
+region audit and the search priority against their `Chord`-based forms."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -293,6 +295,95 @@ def test_interior_face_region_sizes_are_valid_cells():
     for face in enumerate_faces(params).faces(1):
         for s in region_sizes(face):
             assert s % 2 == 2 % 2 and s >= 4  # every cell stays 2 mod m
+
+def split_region_sizes(face):
+    """The recursive splitter that the stack pass replaced: each chord splits
+    the boundary cycle of its region in two."""
+    params = face.params
+    chords = []
+    for d in face.sorted_diagonals():
+        chords.extend(d.constituents(params))
+
+    def split(cycle, pending):
+        if not pending:
+            return [len(cycle)]
+        c = pending[0]
+        pos = {p: i for i, p in enumerate(cycle)}
+        ia, ib = sorted((pos[c.a], pos[c.b]))
+        side1 = cycle[ia : ib + 1]
+        side2 = cycle[ib:] + cycle[: ia + 1]
+        in1, in2 = set(side1), set(side2)
+        rest1, rest2 = [], []
+        for other in pending[1:]:
+            if {other.a, other.b} <= in1 and not {other.a, other.b} <= in2:
+                rest1.append(other)
+            elif {other.a, other.b} <= in2:
+                rest2.append(other)
+            else:
+                raise ValueError(f"chord {other} crosses {c}; not a face")
+        return split(side1, rest1) + split(side2, rest2)
+
+    return sorted(split(tuple(range(params.size)), chords))
+
+
+def chord_priority(params, vertices):
+    """The search priority on `Diagonal.constituents`, as it was first written."""
+    m, size = params.m, params.size
+
+    def key(idx_d):
+        _idx, d = idx_d
+        pts = {p for c in d.constituents(params) for p in c}
+        for rank, corner in enumerate(range(1, m + 1)):
+            if corner in pts:
+                others = [p for c in d.constituents(params) if corner in c for p in c
+                          if p != corner]
+                return (rank, min((corner - p) % size for p in others), d.sort_key)
+        return (m, 0, d.sort_key)
+
+    ranked = sorted(enumerate(vertices), key=key)
+    return {idx: pos for pos, (idx, _d) in enumerate(ranked)}
+
+
+DISSECTION_GRID = [PolygonParams(fam, m, n) for fam in (FAMILY_A, FAMILY_B)
+                   for m in range(1, 5) for n in range(1, 7)]
+# the complexes of DISSECTION_GRID with at most 20 000 faces: 41 of the 48
+ORACLE_GRID = [p for p in DISSECTION_GRID if sum(counting.face_counts(p, p.rank)) <= 20_000]
+
+
+@pytest.mark.parametrize("params", ORACLE_GRID, ids="{0.family}-{0.m}-{0.n}".format)
+def test_region_sizes_match_the_splitter_on_every_face(params):
+    table = enumerate_faces(params)
+    for level in table.by_cardinality:
+        for ix in level:
+            face = table.face_from_indices(ix)
+            assert region_sizes(face) == split_region_sizes(face)
+
+
+def test_decomposition_priority_matches_its_chord_oracle():
+    for params in DISSECTION_GRID:
+        vertices = all_diagonals(params)
+        assert decomposition_priority(params, vertices) == chord_priority(params, vertices)
+
+
+def test_region_sizes_match_the_splitter_on_random_diagonal_sets():
+    rng = random.Random(13)
+    raised = 0
+    for _ in range(2000):
+        params = PolygonParams(rng.choice((FAMILY_A, FAMILY_B)), rng.randint(1, 3),
+                               rng.randint(2, 5))
+        vertices = all_diagonals(params)
+        picked = rng.sample(vertices, rng.randint(0, min(len(vertices), params.n + 1)))
+        face = face_from_diagonals(params, picked)
+        try:
+            want = split_region_sizes(face)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="crosses"):
+                region_sizes(face)
+            continue
+        assert region_sizes(face) == want
+    assert 500 < raised < 1500  # both outcomes are well covered
+
 
 def test_is_face_rejects_crossing_diagonals():
     params = PolygonParams(FAMILY_B, 1, 2)

@@ -150,7 +150,8 @@ JSON_SCALARS = (
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
     max_leaves=12,
 )
 LABELS = st.integers(min_value=-9, max_value=9)
@@ -229,7 +230,9 @@ def written(dump, doc):
         return type(exc), str(exc)
 
 
-ODD_TEXT = st.sampled_from(["", "\x00\x1f\x7f\n\t", "\U0001f600 \U00010348", "\ud800", '"\\/', "é"])
+ODD_TEXT = st.sampled_from(
+    ["", "\x00\x1f\x7f\n\t", "\U0001f600 \U00010348", "\ud800", '"\\/', "é"]
+)
 WRITER_SCALARS = (
     st.none()
     | st.booleans()

@@ -17,6 +17,7 @@ from polydissect.polygons import (
     a_diagonal,
     all_diagonals,
     arc_distance,
+    b_diagonal,
     b_pair,
     chord,
     chords_cross,
@@ -158,6 +159,23 @@ def test_b_pair_count_by_brute_force(m, n):
     diams = {diameter(params, p) for p in range(params.size)}
     assert len(diams) == params.half
     assert sorted(pairs | diams, key=lambda d: d.sort_key) == all_diagonals(params)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (2, 3, 4)])
+def test_b_diagonal_is_the_diameter_or_the_pair(m, n):
+    # the choice that label documents and `decode` made before `b_diagonal`
+    params = PolygonParams(FAMILY_B, m, n)
+
+    def outcome(make, *args):
+        try:
+            return make(params, *args)
+        except ValueError as exc:
+            return str(exc)
+
+    for x in range(params.size):
+        for y in range(params.size):
+            want = outcome(diameter, x) if params.mirror(x) == y else outcome(b_pair, x, y)
+            assert outcome(b_diagonal, x, y) == want
 
 
 def test_b_pair_canonical_constituent_is_the_mirror_invariant_one():
