@@ -296,6 +296,7 @@ def test_interior_face_region_sizes_are_valid_cells():
         for s in region_sizes(face):
             assert s % 2 == 2 % 2 and s >= 4  # every cell stays 2 mod m
 
+
 def split_region_sizes(face):
     """The recursive splitter that the stack pass replaced: each chord splits
     the boundary cycle of its region in two."""
