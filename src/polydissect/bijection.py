@@ -32,6 +32,7 @@ from .polygons import (
     PolygonParams,
     b_diagonal,
     constituent_positions,
+    initial_position,
     pair_chord,
     pairwise_compatible,
 )
@@ -129,9 +130,7 @@ def encode(face: Face) -> BijectionImage:
     # canonical order: distinct diagonals of a face have distinct first chords
     work = sorted(zip(groups, face.diagonals))
     chords = [g for g, _ in work]
-    # a diagonal starts where its center-free arc does; a diameter at its
-    # positively labeled end, which is its first endpoint
-    starts = [a if 2 * (b - a) <= size else b for (a, b), *_ in chords]
+    starts = [initial_position(size, a, b) for (a, b), *_ in chords]
     pool = sorted(starts)
     a_sorted = tuple(p + 1 for p in pool)  # initial points carry positive labels
     # valid diagonals share no chord, and a stage's chord (p, q) with its

@@ -21,8 +21,8 @@ from functools import cached_property
 from . import bijection, complexes, counting, homology, simplicial
 from .complexes import enumerate_faces
 from .documents import diagonal_to_labels, dump_json, face_to_document, load_face, make_report
-from .errors import (FaceDocumentError, InvalidImageError, MalformedFaceError, NotAFaceError,
-                     PolydissectError, ResourceLimitError, ShellingError)
+from .errors import (FaceDocumentError, InvalidImageError, MalformedFaceError, PolydissectError,
+                     ResourceLimitError, ShellingError)
 from .polygons import FAMILY_B, PolygonParams
 from .render import face_svg
 
@@ -476,10 +476,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if "facets_file" in args:
-        if args.facets_file is None and None in (args.family, args.m, args.n):
+        source = (args.family, args.m, args.n)
+        if args.facets_file is None and None in source:
             parser.error("either --family/--m/--n or --facets-file is required")
-        if args.facets_file is not None and args.family is not None:
-            parser.error("--facets-file and --family are mutually exclusive")
+        given = [flag for flag, v in zip(("--family", "--m", "--n"), source) if v is not None]
+        if args.facets_file is not None and given:
+            parser.error(f"--facets-file and {given[0]} are mutually exclusive")
     started = time.perf_counter()
     try:
         report = args.func(args)
@@ -501,8 +503,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         _say(f"resource limit: {exc}")
         return EXIT_RESOURCE
-    except (FaceDocumentError, MalformedFaceError, InvalidImageError, NotAFaceError,
-            ValueError, OSError) as exc:
+    except (FaceDocumentError, MalformedFaceError, InvalidImageError, ValueError,
+            OSError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
     except PolydissectError as exc:
@@ -519,11 +521,14 @@ def run() -> None:
 
     The report is flushed first; a failed final write is reported like any
     other OSError, on one `error:` line with exit code 2.  A failed write to
-    stderr changes no exit code.  Exceptions that
-    leave `main()`, argparse's usage errors and `--help` among them, end the
-    process the usual way.
+    stderr changes no exit code.  argparse's own exits (`--help`, usage
+    errors) leave `main()` as SystemExit and end the same way, with their
+    status.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # raised by argparse, with an int status
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:

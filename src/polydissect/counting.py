@@ -82,16 +82,6 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(h)
 
 
-def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of h_from_f."""
-    if not h or h[0] != 1:
-        raise ValueError(f"h-vector must start with 1, got {h!r}")
-    d = len(h) - 1
-    return tuple(
-        sum(h[i] * comb(d - i, k - i) for i in range(k + 1)) for k in range(d + 1)
-    )
-
-
 def reduced_euler(f: tuple[int, ...]) -> int:
     """Reduced Euler characteristic -1 + f_0 - f_1 + ... from an f-vector."""
     return sum(f[k] if k % 2 else -f[k] for k in range(len(f)))

@@ -73,7 +73,7 @@ def diagonal_to_labels(params: PolygonParams, d: Diagonal) -> list[int]:
     a, b = d.canonical
     if d.kind == KIND_DIAMETER:
         b = params.mirror(a)
-    elif params.family != FAMILY_A and initial_position(d, params) != a:
+    elif params.family != FAMILY_A and initial_position(params.size, a, b) != a:
         a, b = b, a
     return [params.label_of_position(a), params.label_of_position(b)]
 

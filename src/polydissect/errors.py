@@ -35,10 +35,6 @@ class InvalidImageError(PolydissectError):
     """An (a, eps) pair handed to the decoder is not a valid code word."""
 
 
-class NotAFaceError(PolydissectError):
-    """A link was requested at a vertex set that is not a face."""
-
-
 class ShellingError(PolydissectError):
     """A facet order fails the shelling condition; `step` is the first bad index."""
 

@@ -41,24 +41,6 @@ def chord(x: int, y: int) -> Chord:
     return Chord(x, y) if x < y else Chord(y, x)
 
 
-def arc_distance(a: int, b: int, size: int) -> int:
-    """Number of anticlockwise boundary steps from position a to position b."""
-    return (b - a) % size
-
-
-def position_between(x: int, y: int, z: int, size: int) -> bool:
-    """True when z lies strictly inside the anticlockwise arc from x to y."""
-    return 0 < arc_distance(x, z, size) < arc_distance(x, y, size)
-
-
-def chords_cross(c1: Chord, c2: Chord, size: int) -> bool:
-    """Strict interior crossing; chords sharing an endpoint do not cross."""
-    if set(c1) & set(c2):
-        return False
-    # proper crossing <=> the endpoints of c2 separate those of c1
-    return position_between(c1.a, c1.b, c2.a, size) != position_between(c1.a, c1.b, c2.b, size)
-
-
 class PolygonParams(namedtuple("PolygonParams", "family m n")):
     """Parameters (family, m, n) fixing a labeled polygon and its diagonals.
 
@@ -70,6 +52,8 @@ class PolygonParams(namedtuple("PolygonParams", "family m n")):
     def __new__(cls, family: str, m: int, n: int):
         if family not in (FAMILY_A, FAMILY_B):
             raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+        if type(m) is not int or type(n) is not int:  # no floats, no bools
+            raise ValueError(f"m and n must be ints, got m={m!r}, n={n!r}")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if n < 1:
@@ -147,35 +131,12 @@ class Diagonal(namedtuple("Diagonal", "kind canonical")):
     def sort_key(self) -> tuple[int, int, str]:
         return (self.canonical.a, self.canonical.b, self.kind)
 
-    def constituents(self, params: PolygonParams) -> tuple[Chord, ...]:
-        """All chords drawn for this diagonal."""
-        if self.kind == KIND_PAIR:
-            c = self.canonical
-            return (c, chord(params.mirror(c.a), params.mirror(c.b)))
-        return (self.canonical,)
-
-
-def short_side(c: Chord, size: int) -> tuple[int, int]:
-    """(initial position, arc length) of the shorter side of a chord.
-
-    The shorter side of a non-diameter chord in a centrally symmetric polygon
-    is exactly its center-free side, and travelling it anticlockwise keeps
-    the center on the left; the travel starts at the returned position.
-    """
-    t = arc_distance(c.a, c.b, size)
-    if 2 * t < size:
-        return c.a, t
-    if 2 * t > size:
-        return c.b, size - t
-    raise ValueError(f"chord {c} is a diameter; it has no shorter side")
-
-
 def a_diagonal(params: PolygonParams, x: int, y: int) -> Diagonal:
     """Type-A diagonal through positions x, y; raises ValueError if invalid."""
     if params.family != FAMILY_A:
         raise ValueError("a_diagonal needs family-A parameters")
     c = chord(x % params.size, y % params.size)
-    t = arc_distance(c.a, c.b, params.size)
+    t = c.b - c.a  # the anticlockwise arc from c.a to c.b
     if min(t, params.size - t) < 2:
         raise ValueError(f"chord {c} joins adjacent vertices")
     if (t - 1) % params.m != 0:
@@ -235,33 +196,24 @@ def pair_chord(size: int, m: int, x: int, y: int) -> tuple[int, int]:
         c, d = d, c
     if a < c < b < d or c < a < d < b:
         raise ValueError(f"chord {Chord(a, b)} crosses its mirror {Chord(c, d)}")
-    start, arc = (a, t) if 2 * t < size else (b, size - t)
+    arc = min(t, size - t)  # the center-free side
     if (arc - 1) % m != 0:
         raise ValueError(
             f"pair through {Chord(a, b)} cuts off parts with {arc + 1} vertices, not 2 mod {m}"
         )
     # canonical constituent: the one whose travel starts at a positive label
-    return (a, b) if start < half else (c, d)
+    return (a, b) if initial_position(size, a, b) < half else (c, d)
 
 
-def initial_position(d: Diagonal, params: PolygonParams) -> int:
-    """Position of the diagonal's initial point (positive presentation).
+def initial_position(size: int, a: int, b: int) -> int:
+    """Start of the chord (a, b), a < b, of a type-B (size)-gon.
 
-    Travelling a non-diameter constituent with the polygon center on the left
-    starts at the beginning of its center-free arc; the initial point of the
-    pair is whichever of the two starts carries a positive label.  A diameter's
-    initial point is its positively labeled end.
+    Travelling a non-diameter chord with the polygon center on the left
+    starts at the beginning of its center-free arc; a diameter starts at its
+    first endpoint.  On the canonical chord of a diagonal this is the
+    diagonal's initial point, which carries a positive label.
     """
-    if d.kind == KIND_CHORD:
-        raise ValueError("initial points are defined for family-B diagonals")
-    if d.kind == KIND_DIAMETER:
-        return d.canonical.a
-    start, _ = short_side(d.canonical, params.size)
-    return start  # canonical constituent starts at a positive label
-
-
-def initial_label(d: Diagonal, params: PolygonParams) -> int:
-    return params.label_of_position(initial_position(d, params))
+    return a if 2 * (b - a) <= size else b
 
 
 def constituent_positions(
@@ -269,8 +221,8 @@ def constituent_positions(
 ) -> list[tuple[tuple[int, int], ...]]:
     """Endpoint pairs (a, b), a < b, of each diagonal's chords, in input order.
 
-    The integer twin of `Diagonal.constituents` for batch use: the half-turn
-    is read from the parameters once, not once per chord.
+    A pair gives its canonical chord, then its mirror; the half-turn is read
+    from the parameters once, not once per chord.
     """
     size = params.size
     half = size // 2  # the half-turn, for family B; pairs are B-only
@@ -288,9 +240,8 @@ def constituent_positions(
 def positions_cross(g, h) -> bool:
     """True when a chord of g crosses a chord of h, both given as (a, b), a < b.
 
-    The integer form of `chords_cross`: (a, b) and (c, d) cross exactly when
-    a < c < b < d or c < a < d < b; the strict inequalities rule out shared
-    endpoints.
+    (a, b) and (c, d) cross in the interior exactly when a < c < b < d or
+    c < a < d < b; the strict inequalities rule out shared endpoints.
     """
     for a, b in g:
         for c, d in h:
@@ -308,15 +259,6 @@ def pairwise_compatible(groups) -> bool:
                 for c, d in h:
                     if a < c < b < d or c < a < d < b:
                         return False
-    return True
-
-
-def compatible(d1: Diagonal, d2: Diagonal, params: PolygonParams) -> bool:
-    """Faces of the complex are sets of pairwise compatible diagonals."""
-    for c1 in d1.constituents(params):
-        for c2 in d2.constituents(params):
-            if chords_cross(c1, c2, params.size):
-                return False
     return True
 
 

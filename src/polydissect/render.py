@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .complexes import Face
-from .polygons import KIND_DIAMETER
+from .polygons import KIND_DIAMETER, constituent_positions
 
 SIZE = 640
 RADIUS = 250
@@ -49,11 +49,12 @@ def face_svg(face: Face) -> str:
         f'<polygon points="{boundary}" fill="none" stroke="{EDGE_COLOR}" stroke-width="1"/>'
     )
 
-    for d in face.sorted_diagonals():
+    diagonals = face.sorted_diagonals()
+    for d, chords in zip(diagonals, constituent_positions(params, diagonals)):
         color = DIAMETER_COLOR if d.kind == KIND_DIAMETER else PAIR_COLOR
-        for c in d.constituents(params):
-            x1, y1 = _point(c.a, size, RADIUS)
-            x2, y2 = _point(c.b, size, RADIUS)
+        for a, b in chords:
+            x1, y1 = _point(a, size, RADIUS)
+            x2, y2 = _point(b, size, RADIUS)
             parts.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                 f'stroke="{color}" stroke-width="1.6"/>'

@@ -6,12 +6,12 @@ it.  The memoized search for vertex decompositions packs each facet into a
 string of those positions, gives up on a disconnected subproblem of
 dimension at least 1 once its first candidate fails, and runs on an
 explicit stack; it names vertices only in the certificate it returns.  The
-module also provides the face operations (deletion, link, join, cone), one
-iterative walk that checks a certificate independently of the search and
-derives the shelling order it induces, and a checker for the shelling
-condition: each facet after the first must meet the union of its
-predecessors in a nonempty pure complex of codimension one.  The walk and
-the checker run on int bitmasks over the vertex positions.
+module also provides one iterative walk that checks a certificate
+independently of the search and derives the shelling order it induces, and
+a checker for the shelling condition: each facet after the first must meet
+the union of its predecessors in a nonempty pure complex of codimension
+one.  The walk and the checker run on int bitmasks over the vertex
+positions.
 """
 
 from __future__ import annotations
@@ -22,34 +22,20 @@ from collections.abc import Iterable
 from itertools import combinations, repeat
 
 from .complexes import max_faces_bound
-from .errors import NotAFaceError, ResourceLimitError, ShellingError, count_text
+from .errors import ResourceLimitError, ShellingError, count_text
 
 DEFAULT_MAX_STATES = 500_000
 
 
 def sort_vertices(items: Iterable) -> list:
     """Deterministic vertex order; falls back to a typed key when the values
-    are not mutually comparable (e.g. after coning an int complex over a
-    string apex)."""
+    are not mutually comparable (e.g. a complex whose vertices mix ints and
+    strings)."""
     items = list(items)
     try:
         return sorted(items)
     except TypeError:
         return sorted(items, key=lambda v: (v.__class__.__name__, repr(v)))
-
-
-def _by_positions(facets: Iterable[frozenset], vertices: list) -> list[frozenset]:
-    """Facets sorted by cardinality, then by the positions of their vertices
-    in `vertices`."""
-    pos = {v: i for i, v in enumerate(vertices)}
-    return sorted(facets, key=lambda f: (len(f), sorted(map(pos.__getitem__, f))))
-
-
-def sorted_facets(facets: Iterable[frozenset]) -> list[frozenset]:
-    """Deterministic facet order: by cardinality, then by the positions of the
-    facet's vertices in the `sort_vertices` order of all vertices."""
-    facets = list(facets)
-    return _by_positions(facets, sort_vertices(set().union(*facets)))
 
 
 class AbstractComplex:
@@ -82,7 +68,11 @@ class AbstractComplex:
                 f for f in sets
                 if not any(f < g for g in min((holders[v] for v in f), key=len, default=sets))
             ]
-        self.facets: tuple[frozenset, ...] = tuple(_by_positions(maximal, vertices))
+        # facets sort by cardinality, then by the positions of their vertices
+        pos = {v: i for i, v in enumerate(vertices)}
+        self.facets: tuple[frozenset, ...] = tuple(
+            sorted(maximal, key=lambda f: (len(f), sorted(map(pos.__getitem__, f))))
+        )
         self.vertices: tuple = tuple(vertices)
 
     @property
@@ -111,33 +101,6 @@ class AbstractComplex:
 
     def __repr__(self) -> str:
         return f"AbstractComplex({len(self.facets)} facets, dim {self.dim})"
-
-
-def deletion(complex_: AbstractComplex, cut: Iterable) -> AbstractComplex:
-    """Subcomplex of faces disjoint from the vertex set `cut`."""
-    cut = frozenset(cut)
-    return AbstractComplex(f - cut for f in complex_.facets)
-
-
-def link(complex_: AbstractComplex, face: Iterable) -> AbstractComplex:
-    """Link of a face: all faces whose union with it is again a face."""
-    s = frozenset(face)
-    if not complex_.has_face(s):
-        raise NotAFaceError(f"{set(s) or '{}'} is not a face")
-    return AbstractComplex(f - s for f in complex_.facets if s <= f)
-
-
-def join(c1: AbstractComplex, c2: AbstractComplex) -> AbstractComplex:
-    """Join of complexes on disjoint ground sets."""
-    overlap = set(c1.vertices) & set(c2.vertices)
-    if overlap:
-        raise ValueError(f"join needs disjoint ground sets; shared: {sort_vertices(overlap)}")
-    return AbstractComplex(f1 | f2 for f1 in c1.facets for f2 in c2.facets)
-
-
-def cone(complex_: AbstractComplex, apex) -> AbstractComplex:
-    """Join with the single new vertex `apex`."""
-    return join(complex_, AbstractComplex([[apex]]))
 
 
 def faces_by_dimension(

@@ -391,6 +391,23 @@ def test_conflicting_source_options_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--m", "5"], "--m"),
+    (["--n", "2"], "--n"),
+    (["--n", "2", "--m", "1"], "--m"),
+    (["--m", "1", "--n", "2", "--family", "A"], "--family"),
+])
+@pytest.mark.parametrize("command", ["shelling", "homology"])
+def test_facets_file_refuses_every_parameter_flag(tmp_path, capsys, command, flags, named):
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("a b\nb c\nc a\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--facets-file", str(cycle), *flags])
+    assert exc.value.code == USAGE
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: --facets-file and {named} are mutually exclusive\n")
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     battery = [
         ["count", "--family", "A", "--m", "2", "--n", "4", "--format", "json"],
@@ -462,6 +479,9 @@ def test_failed_final_write_exits_two_with_one_error_line():
     ("verify", "--family", "B", "--m", "1", "--n", "3"),
     # 180 KiB of lines, so the write fails inside `main`, not at the last flush
     ("facets", "--family", "A", "--m", "3", "--n", "6", "--format", "lines"),
+    # argparse's own exits: help on stdout, a usage error on stderr
+    ("count", "--help"),
+    ("count", "--family", "B"),
 ])
 @pytest.mark.parametrize("stderr_closed", [False, True])
 def test_closed_output_pipe_exits_two(argv, stderr_closed):
@@ -473,7 +493,12 @@ def test_closed_output_pipe_exits_two(argv, stderr_closed):
     finally:
         os.close(write_end)
     assert proc.returncode == USAGE
-    if not stderr_closed:
+    if stderr_closed:
+        return
+    assert "Exception ignored" not in proc.stderr
+    if argv == ("count", "--family", "B"):  # nothing reached stdout
+        assert proc.stderr.endswith("error: the following arguments are required: --m, --n\n")
+    else:
         assert proc.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 

@@ -2,7 +2,7 @@
 
 The oracles below are the label conversions, `b_pair`,
 `diagonal_from_labels`, `_check_b_face` and `decode` written on `Chord` and
-`Diagonal` tuples, with the crossing test of `polygons.compatible`.  The
+`Diagonal` tuples, with the crossing test of `oracles.compatible`.  The
 library's checks run on integer positions; on every input, valid or not,
 both must give the same result or raise the same exception class with the
 same message.
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import compatible
 from polydissect import documents, polygons
 from polydissect.bijection import _peel, decode, encode
 from polydissect.complexes import Face, enumerate_faces, face_from_diagonals
@@ -31,7 +32,6 @@ from polydissect.polygons import (
     all_diagonals,
     b_pair,
     chord,
-    compatible,
     diameter,
     positions_cross,
 )

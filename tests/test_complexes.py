@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import compatible, constituents
 from polydissect import counting
 from polydissect.complexes import (
     DEFAULT_MAX_FACES,
@@ -34,7 +35,6 @@ from polydissect.polygons import (
     PolygonParams,
     all_diagonals,
     b_pair,
-    compatible,
     diameter,
 )
 from polydissect.simplicial import DecompositionLeaf, DecompositionNode
@@ -303,7 +303,7 @@ def split_region_sizes(face):
     params = face.params
     chords = []
     for d in face.sorted_diagonals():
-        chords.extend(d.constituents(params))
+        chords.extend(constituents(d, params))
 
     def split(cycle, pending):
         if not pending:
@@ -328,15 +328,16 @@ def split_region_sizes(face):
 
 
 def chord_priority(params, vertices):
-    """The search priority on `Diagonal.constituents`, as it was first written."""
+    """The search priority on the `Chord`s of each diagonal, as it was first
+    written."""
     m, size = params.m, params.size
 
     def key(idx_d):
         _idx, d = idx_d
-        pts = {p for c in d.constituents(params) for p in c}
+        pts = {p for c in constituents(d, params) for p in c}
         for rank, corner in enumerate(range(1, m + 1)):
             if corner in pts:
-                others = [p for c in d.constituents(params) if corner in c for p in c
+                others = [p for c in constituents(d, params) if corner in c for p in c
                           if p != corner]
                 return (rank, min((corner - p) % size for p in others), d.sort_key)
         return (m, 0, d.sort_key)

@@ -12,10 +12,10 @@ from math import comb
 
 import pytest
 
+from oracles import f_from_h
 from polydissect.counting import (
     count_faces,
     diameter_face_count,
-    f_from_h,
     f_vector,
     face_counts,
     facet_count,

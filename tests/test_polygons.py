@@ -1,12 +1,21 @@
 """Geometry layer: positions, labels, crossing, diagonal validity.
 
-Oracles here are independent re-derivations: crossing by walking the circle,
-family-A validity by checking both cells of the cut, family-B pairs by brute
-force over all chords.
+Oracles are independent re-derivations: crossing by walking the circle and
+initial points by the shorter side of a chord (both in `oracles`), family-A
+validity by checking both cells of the cut, family-B pairs by brute force
+over all chords.
 """
 
 import pytest
 
+from oracles import (
+    arc_distance,
+    compatible,
+    constituents,
+    crossing_oracle,
+    initial_label,
+    short_side,
+)
 from polydissect.polygons import (
     FAMILY_A,
     FAMILY_B,
@@ -16,28 +25,15 @@ from polydissect.polygons import (
     PolygonParams,
     a_diagonal,
     all_diagonals,
-    arc_distance,
     b_diagonal,
     b_pair,
     chord,
-    chords_cross,
-    compatible,
     constituent_positions,
     diameter,
-    initial_label,
     initial_position,
+    pairwise_compatible,
     positions_cross,
-    short_side,
 )
-
-
-def crossing_oracle(c1, c2, size):
-    """Chords cross iff exactly one endpoint of c2 lies strictly between the
-    endpoints of c1 (walking anticlockwise) and none are shared."""
-    if {c1.a, c1.b} & {c2.a, c2.b}:
-        return False
-    between = {p % size for p in range(c1.a + 1, c1.a + arc_distance(c1.a, c1.b, size))}
-    return len({c2.a, c2.b} & between) == 1
 
 
 def a_validity_oracle(params, x, y):
@@ -69,11 +65,10 @@ def test_crossing_matches_oracle(size):
     points = range(size)
     chords = [chord(x, y) for x in points for y in points if x < y]
     for c1 in chords:
-        assert not chords_cross(c1, c1, size)
+        assert not positions_cross([c1], [c1])
         for c2 in chords:
-            assert chords_cross(c1, c2, size) == crossing_oracle(c1, c2, size)
-            assert chords_cross(c1, c2, size) == chords_cross(c2, c1, size)
             assert positions_cross([c1], [c2]) == crossing_oracle(c1, c2, size)
+            assert positions_cross([c1], [c2]) == positions_cross([c2], [c1])
 
 
 @pytest.mark.parametrize("fam,m,n", [(FAMILY_A, 2, 3), (FAMILY_B, 1, 3), (FAMILY_B, 2, 2)])
@@ -81,7 +76,7 @@ def test_constituent_positions_match_constituents(fam, m, n):
     params = PolygonParams(fam, m, n)
     diags = all_diagonals(params)
     groups = constituent_positions(params, diags)
-    assert groups == [tuple(tuple(c) for c in d.constituents(params)) for d in diags]
+    assert groups == [tuple(tuple(c) for c in constituents(d, params)) for d in diags]
     for d1, g1 in zip(diags, groups):
         for d2, g2 in zip(diags, groups):
             assert positions_cross(g1, g2) == (not compatible(d1, d2, params))
@@ -184,7 +179,7 @@ def test_b_pair_canonical_constituent_is_the_mirror_invariant_one():
     d2 = b_pair(params, 4, 23)
     assert d1 == d2
     assert d1.canonical == chord(10, 17)
-    assert set(d1.constituents(params)) == {chord(10, 17), chord(4, 23)}
+    assert set(constituents(d1, params)) == {chord(10, 17), chord(4, 23)}
 
 
 def test_short_side_and_initial_points():
@@ -193,12 +188,19 @@ def test_short_side_and_initial_points():
     assert short_side(chord(4, 23), params.size) == (23, 7)
     with pytest.raises(ValueError):
         short_side(chord(0, 13), params.size)
-    assert initial_position(b_pair(params, 5, 8), params) == 5
-    assert initial_label(b_pair(params, 5, 8), params) == 6
-    assert initial_position(b_pair(params, 10, 17), params) == 10
-    assert initial_label(b_pair(params, 10, 17), params) == 11
-    assert initial_position(diameter(params, 10), params) == 10
-    assert initial_label(diameter(params, 10), params) == 11
+    for d, start in [(b_pair(params, 5, 8), 5), (b_pair(params, 10, 17), 10),
+                     (diameter(params, 10), 10)]:
+        assert initial_position(params.size, *d.canonical) == start
+        assert initial_label(d, params) == start + 1
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4)])
+def test_initial_position_starts_the_shorter_side(m, n):
+    params = PolygonParams(FAMILY_B, m, n)
+    for d in all_diagonals(params):
+        start = initial_position(params.size, *d.canonical)
+        assert 0 <= start < params.half  # a positive label
+        assert params.label_of_position(start) == initial_label(d, params)
 
 
 def test_diameter_rejects_nothing_and_canonicalizes():
@@ -235,6 +237,13 @@ def test_compatibility_checks_every_constituent():
     assert compatible(d13, diam1, params)
     assert not compatible(d13, d24, params)
     assert not compatible(d02, d24, params)
+    # the library's face test agrees on every two of them
+    diags = [d02, d13, d24, diam0, diam1]
+    for d1 in diags:
+        for d2 in diags:
+            if d1 != d2:
+                got = pairwise_compatible(constituent_positions(params, [d1, d2]))
+                assert got == compatible(d1, d2, params)
 
 
 def test_params_validation():
@@ -244,6 +253,9 @@ def test_params_validation():
         PolygonParams(FAMILY_A, 0, 2)
     with pytest.raises(ValueError):
         PolygonParams(FAMILY_A, 1, 0)
+    for m, n in [(2.0, 3), (True, 3), (2, 3.0), (1, False), ("2", 3), (None, 3)]:
+        with pytest.raises(ValueError, match="m and n must be ints"):
+            PolygonParams(FAMILY_B, m, n)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

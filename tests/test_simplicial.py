@@ -9,26 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import NotAFaceError, cone, deletion, join, link, sorted_facets
 from polydissect import counting, simplicial
 from polydissect.complexes import abstract_facets, decomposition_priority, enumerate_faces
-from polydissect.errors import NotAFaceError, ResourceLimitError, ShellingError
+from polydissect.errors import ResourceLimitError, ShellingError
 from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams
 from polydissect.simplicial import (
     AbstractComplex,
     DecompositionLeaf,
     DecompositionNode,
     ShellingOrder,
-    cone,
-    deletion,
     faces_by_dimension,
     find_vertex_decomposition,
     format_facet_lines,
-    join,
-    link,
     parse_facet_lines,
     shelling_from_decomposition,
     sort_vertices,
-    sorted_facets,
     verify_shelling,
     verify_vertex_decomposition,
 )
@@ -377,7 +373,7 @@ def test_facet_lines_round_trip():
 
 
 def oracle_verify(c, cert):
-    """Recursive verifier built from the public deletion and link."""
+    """Recursive verifier built from the reference deletion and link."""
     if not c.is_pure():
         return False
     if isinstance(cert, DecompositionLeaf):
