@@ -303,15 +303,18 @@ def _suite_counts(analysis: _Analysis) -> list[dict]:
 
 def _suite_purity(analysis: _Analysis) -> list[dict]:
     table = analysis.table
-    facets = table.facets()
+
+    def facets():  # one Face at a time, not the whole top level
+        return map(table.face_from_indices, table.by_cardinality[-1])
+
     found = [
         ("purity.every-face-extends-to-a-facet", complexes.check_pure(table)),
         ("purity.facet-regions-are-(m+2)-gons",
-         next((f for f in facets if not complexes.facet_region_audit(f)), None)),
+         next((f for f in facets() if not complexes.facet_region_audit(f)), None)),
     ]
     if analysis.params.family == FAMILY_B:
         found.append(("purity.facets-contain-exactly-one-diameter",
-                      next((f for f in facets if complexes.diameter_count(f) != 1), None)))
+                      next((f for f in facets() if complexes.diameter_count(f) != 1), None)))
     return [_check(name, face is None, counterexample=face) for name, face in found]
 
 
@@ -323,8 +326,9 @@ def _suite_bijection(analysis: _Analysis) -> list[dict]:
     cards = range(params.rank + 1)
     images: list[set] = [set() for _ in cards]
     diam_by_eps, diam_by_audit = [0] * len(cards), [0] * len(cards)
+    table = analysis.table
     for i in cards:
-        for face in analysis.table.faces(i):
+        for face in map(table.face_from_indices, table.by_cardinality[i]):
             image = bijection.encode(face)
             if bijection.decode(params, image.a, image.eps) != face:
                 return [_check("bijection.decode-inverts-encode", False, counterexample=face)]

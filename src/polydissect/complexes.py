@@ -104,14 +104,21 @@ class FaceTable:
     def __repr__(self) -> str:
         return f"FaceTable(params={self.params!r}, vertices={self.vertices!r})"
 
+    def _level(self, i: int) -> list[tuple[int, ...]]:
+        """The index tuples of the faces with i diagonals: none past the top;
+        raises ValueError when i is negative."""
+        if i < 0:
+            raise ValueError(f"cardinality must be >= 0, got {i}")
+        return self.by_cardinality[i] if i < len(self.by_cardinality) else []
+
     def count(self, i: int) -> int:
-        return len(self.by_cardinality[i]) if i < len(self.by_cardinality) else 0
+        return len(self._level(i))
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_cardinality)
 
     def faces(self, i: int) -> list[Face]:
-        return [self.face_from_indices(ix) for ix in self.by_cardinality[i]]
+        return [self.face_from_indices(ix) for ix in self._level(i)]
 
     def face_from_indices(self, indices: tuple[int, ...]) -> Face:
         return Face(self.params, frozenset(self.vertices[j] for j in indices))
@@ -168,30 +175,43 @@ def enumerate_faces(
 
     by_card: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
     by_card[0].append(())
-    emitted = 1
+    if top:
+        _extend((), (1 << v) - 1, rows, by_card, top, 1, bound)
+    return FaceTable(params, vertices, by_card)
 
-    def extend(face: tuple[int, ...], cand: int) -> None:
-        # cand: the later diagonals compatible with every member of face
-        nonlocal emitted
-        level = by_card[len(face) + 1]
-        deeper = len(face) + 1 < top
+
+def _extend(face, cand, rows, by_card, top, emitted, bound) -> int:
+    """Append to `by_card` every face that extends `face` by the diagonals of
+    the mask `cand` (the later diagonals compatible with every member of
+    `face`), depth first, and return `emitted` plus their number.
+
+    A module-level function with its state in arguments, so an enumeration
+    leaves no reference cycle and its table is freed with its last reference.
+    Children on level `top` are leaves, charged to the bound all at once.
+    """
+    depth = len(face) + 1
+    level = by_card[depth]
+    if depth == top:
+        emitted += cand.bit_count()
+        if emitted > bound:
+            raise ResourceLimitError(f"enumerated face count exceeded bound {bound}", bound=bound)
         while cand:
             low = cand & -cand
             cand ^= low
-            k = low.bit_length() - 1
-            emitted += 1
-            if emitted > bound:
-                raise ResourceLimitError(
-                    f"enumerated face count exceeded bound {bound}", bound=bound
-                )
-            child = face + (k,)
-            level.append(child)
-            if deeper and cand & rows[k]:
-                extend(child, cand & rows[k])
-
-    if top:
-        extend((), (1 << v) - 1)
-    return FaceTable(params, vertices, by_card)
+            level.append(face + (low.bit_length() - 1,))
+        return emitted
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        k = low.bit_length() - 1
+        emitted += 1
+        if emitted > bound:
+            raise ResourceLimitError(f"enumerated face count exceeded bound {bound}", bound=bound)
+        child = face + (k,)
+        level.append(child)
+        if cand & rows[k]:
+            emitted = _extend(child, cand & rows[k], rows, by_card, top, emitted, bound)
+    return emitted
 
 
 def facets(params: PolygonParams, max_faces: int | None = None) -> list[Face]:

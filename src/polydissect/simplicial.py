@@ -89,10 +89,6 @@ class AbstractComplex:
         """A facet of non-maximal cardinality, or None when pure."""
         return None if self.is_pure() else self.facets[0]  # facets sort by size first
 
-    def has_face(self, face: Iterable) -> bool:
-        s = frozenset(face)
-        return any(s <= f for f in self.facets)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AbstractComplex) and set(self.facets) == set(other.facets)
 

@@ -7,8 +7,9 @@ more literal forms live here, each written once:
 * the `Chord` geometry: arc lengths, crossing by walking the circle, the
   chords a diagonal draws, pairwise compatibility, the shorter side of a
   chord and the label of a diagonal's initial point;
-* the face operations on abstract complexes (deletion, link, join, cone) and
-  the deterministic facet order;
+* the stage walker of the type-B encoding, on a plain list of positions;
+* the face operations on abstract complexes (face test, deletion, link, join,
+  cone) and the deterministic facet order;
 * `f_from_h`, the inverse of `counting.h_from_f`.
 """
 
@@ -77,6 +78,40 @@ def initial_label(d, params):
     return params.label_of_position(start)
 
 
+def peel_stages(params, pool):
+    """The stages of the type-B encoding, as `bijection._peel` yields them,
+    walked on a plain list of the active positions.
+
+    At each stage the pool is read afresh (the caller removes a start when
+    its stage places a diagonal).  The first pooled start, in increasing
+    order, whose next m active positions hold no pooled start and no mirror
+    of one gives the stage (stage, p, q, window), q being the active
+    position after the window; the window and its mirror are then deleted
+    by value.  A stage where no start qualifies gives (stage, None, None,
+    None) and ends the walk, as does an empty pool.
+    """
+    size, m = params.size, params.m
+    half = size // 2
+    active = list(range(size))
+    for stage in range(params.n):
+        if not pool:
+            return
+        taken = set(pool) | {(p + half) % size for p in pool}
+        for p in sorted(set(pool)):
+            i = active.index(p)
+            window = [active[(i + k) % len(active)] for k in range(1, m + 1)]
+            if not taken.intersection(window):
+                break
+        else:
+            yield stage, None, None, None
+            return
+        q = active[(i + m + 1) % len(active)]
+        yield stage, p, q, window
+        for w in window:
+            active.remove(w)
+            active.remove((w + half) % size)
+
+
 # -- abstract complexes ----------------------------------------------------------
 
 
@@ -98,10 +133,16 @@ def deletion(complex_, cut):
     return AbstractComplex(f - cut for f in complex_.facets)
 
 
+def has_face(complex_, face):
+    """True when the vertex set `face` lies in some facet."""
+    s = frozenset(face)
+    return any(s <= f for f in complex_.facets)
+
+
 def link(complex_, face):
     """Link of a face: all faces whose union with it is again a face."""
     s = frozenset(face)
-    if not complex_.has_face(s):
+    if not has_face(complex_, s):
         raise NotAFaceError(f"{set(s) or '{}'} is not a face")
     return AbstractComplex(f - s for f in complex_.facets if s <= f)
 

@@ -12,6 +12,7 @@ import pytest
 
 from polydissect import cli, complexes, counting, simplicial
 from polydissect.cli import main
+from polydissect.polygons import PolygonParams
 
 OK, VIOLATION, USAGE, RESOURCE, INTERNAL = 0, 1, 2, 3, 4
 
@@ -232,18 +233,21 @@ def test_verify_enumerates_at_most_once(monkeypatch, capsys):
 
 
 def test_bijection_suite_builds_each_face_once(monkeypatch, capsys):
-    built = []
-    faces = complexes.FaceTable.faces
+    built, levels = [], []
+    face_from_indices = complexes.FaceTable.face_from_indices
 
-    def counted(self, i):
-        built.append(i)
-        return faces(self, i)
+    def counted(self, indices):
+        built.append(indices)
+        return face_from_indices(self, indices)
 
-    monkeypatch.setattr(complexes.FaceTable, "faces", counted)
+    monkeypatch.setattr(complexes.FaceTable, "face_from_indices", counted)
+    monkeypatch.setattr(complexes.FaceTable, "faces", lambda self, i: levels.append(i))
     code, _, _ = run(capsys, "verify", "--family", "B", "--m", "1", "--n", "3",
                      "--suite", "bijection")
     assert code == OK
-    assert built == [0, 1, 2, 3]
+    assert levels == []  # no whole level of Face objects is built
+    table = complexes.enumerate_faces(PolygonParams("B", 1, 3))
+    assert built == [ix for level in table.by_cardinality for ix in level]
 
 
 def test_shelling_builds_only_the_root_complex(monkeypatch, capsys):

@@ -2,19 +2,21 @@
 
 The oracles below are the label conversions, `b_pair`,
 `diagonal_from_labels`, `_check_b_face` and `decode` written on `Chord` and
-`Diagonal` tuples, with the crossing test of `oracles.compatible`.  The
-library's checks run on integer positions; on every input, valid or not,
-both must give the same result or raise the same exception class with the
-same message.
+`Diagonal` tuples, with the crossing test of `oracles.compatible`; the
+decode oracle walks its stages with `oracles.peel_stages`, not with the
+library's `_peel`.  The library's checks run on integer positions; on every
+input, valid or not, both must give the same result or raise the same
+exception class with the same message.
 """
 
 import sys
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compatible
+from oracles import compatible, peel_stages
 from polydissect import documents, polygons
 from polydissect.bijection import _peel, decode, encode
 from polydissect.complexes import Face, enumerate_faces, face_from_diagonals
@@ -148,7 +150,7 @@ def oracle_decode(params, a, eps):
     half = params.half
     pool = [x - 1 for x in a]
     diagonals = []
-    for stage, p, q, _window in _peel(params, pool):
+    for stage, p, q, _window in peel_stages(params, pool):
         if p is None:
             raise InvalidImageError(f"no eligible initial point at stage {stage + 1}")
         if eps[stage] == 1:
@@ -162,6 +164,32 @@ def oracle_decode(params, a, eps):
     if len(face.diagonals) != len(a) or not oracle_is_face(face):
         raise InvalidImageError("decoded diagonals do not form a face")
     return face
+
+
+def walk(walker, params, pool, places):
+    """Every stage `walker` yields on `pool`, removing the stage's start
+    from the pool when `places[stage]` is 1, as decode does."""
+    pool, stages = list(pool), []
+    for stage in walker(params, pool):
+        stages.append(stage)
+        if stage[1] is not None and places[stage[0]]:
+            pool.remove(stage[1])
+    return stages
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_peel_matches_the_list_walker_on_every_pool(m, n):
+    params = PolygonParams(FAMILY_B, m, n)
+    stuck_at = set()
+    for k in range(n + 1):
+        for pool in combinations_with_replacement(range(params.half), k):
+            for places in product((0, 1), repeat=n):
+                stages = walk(_peel, params, pool, places)
+                assert stages == walk(peel_stages, params, pool, places)
+                stuck_at.update(s for s, p, _q, _w in stages if p is None)
+    # some walks reach a stage where no start qualifies (never the first)
+    assert stuck_at == (set() if n == 1 else set(range(1, n)))
 
 
 def outcome(fn, *args):

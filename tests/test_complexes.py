@@ -2,6 +2,7 @@
 the pairwise scan enumeration that the bitmask enumeration replaced; the
 region audit and the search priority against their `Chord`-based forms."""
 
+import gc
 import random
 from itertools import combinations
 
@@ -401,6 +402,42 @@ def test_enumeration_is_deterministic():
     t2 = enumerate_faces(params)
     assert t1.vertices == t2.vertices
     assert t1.by_cardinality == t2.by_cardinality
+
+
+def test_dropped_tables_leave_no_cyclic_garbage(monkeypatch):
+    """An enumeration makes no reference cycle, so a table is freed as soon
+    as its last reference goes, not when the cycle collector next runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_faces(PolygonParams(FAMILY_B, 2, 4))
+        table = enumerate_faces(PolygonParams(FAMILY_A, 2, 5))
+        del table
+        enumerate_faces(PolygonParams(FAMILY_B, 1, 4), up_to=2)
+        # with the projection out of the way, the bound is met mid-enumeration
+        monkeypatch.setattr(counting, "face_counts", lambda params, top: [0])
+        assert _limit_error(enumerate_faces, PolygonParams(FAMILY_B, 2, 4), max_faces=500) == (
+            "enumerated face count exceeded bound 500", None, 500)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fam,m,n", [(FAMILY_A, 2, 4), (FAMILY_B, 1, 2), (FAMILY_B, 2, 3)])
+def test_count_and_faces_agree_at_every_size(fam, m, n):
+    """Sizes past the top have no faces; negative sizes are not read from
+    the end of the table but refused."""
+    table = enumerate_faces(PolygonParams(fam, m, n))
+    top = len(table.by_cardinality) - 1
+    for i in range(top + 3):
+        assert len(table.faces(i)) == table.count(i)
+    assert table.facets() == table.faces(top) != []
+    assert table.faces(top + 1) == []
+    for i in (-1, -2, -top - 1):
+        with pytest.raises(ValueError, match=f"cardinality must be >= 0, got {i}"):
+            table.count(i)
+        with pytest.raises(ValueError, match=f"cardinality must be >= 0, got {i}"):
+            table.faces(i)
 
 
 def test_projected_count_guard_raises_before_enumerating():

@@ -31,6 +31,7 @@ from polydissect.polygons import (
     constituent_positions,
     diameter,
     initial_position,
+    pair_chord,
     pairwise_compatible,
     positions_cross,
 )
@@ -60,15 +61,36 @@ def test_chord_is_canonical():
         chord(3, 3)
 
 
-@pytest.mark.parametrize("size", [5, 8, 10])
+@pytest.mark.parametrize("size", range(4, 15))
 def test_crossing_matches_oracle(size):
+    """`positions_cross`, the copy of its rule inlined in
+    `pairwise_compatible` and the copy in `pair_chord` (a chord against its
+    mirror) all give the oracle's answer, on every chord pair."""
     points = range(size)
     chords = [chord(x, y) for x in points for y in points if x < y]
     for c1 in chords:
         assert not positions_cross([c1], [c1])
         for c2 in chords:
-            assert positions_cross([c1], [c2]) == crossing_oracle(c1, c2, size)
-            assert positions_cross([c1], [c2]) == positions_cross([c2], [c1])
+            cross = crossing_oracle(c1, c2, size)
+            assert positions_cross([c1], [c2]) == cross
+            assert positions_cross([c2], [c1]) == cross
+            assert pairwise_compatible([(c1,), (c2,)]) == (not cross)
+    if size % 2:
+        return  # a mirror needs a centrally symmetric polygon
+    half = size // 2
+    for c in chords:
+        t = c.b - c.a
+        if min(t, size - t) < 2 or 2 * t == size:
+            continue  # refused before the mirror is drawn
+        mirror = chord((c.a + half) % size, (c.b + half) % size)
+        try:
+            pair_chord(size, 1, c.a, c.b)  # m = 1 refuses no arc length
+            refused = False
+        except ValueError as exc:
+            assert str(exc) == f"chord {c} crosses its mirror {mirror}"
+            refused = True
+        # a chord and its half-turn image never interleave, so both are False
+        assert refused == crossing_oracle(c, mirror, size)
 
 
 @pytest.mark.parametrize("fam,m,n", [(FAMILY_A, 2, 3), (FAMILY_B, 1, 3), (FAMILY_B, 2, 2)])
