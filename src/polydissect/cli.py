@@ -22,7 +22,7 @@ from . import bijection, complexes, counting, homology, simplicial
 from .complexes import enumerate_faces
 from .documents import diagonal_to_labels, dump_json, face_to_document, load_face, make_report
 from .errors import (FaceDocumentError, InvalidImageError, MalformedFaceError, PolydissectError,
-                     ResourceLimitError, ShellingError)
+                     ResourceLimitError, ShellingError, count_text, digit_count)
 from .polygons import FAMILY_B, PolygonParams
 from .render import face_svg
 
@@ -31,6 +31,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+# the work `count` may project for its h-vector
+COUNT_MAX_BIT_OPERATIONS = 20_000_000_000
 
 
 class _Violation(Exception):
@@ -104,9 +107,6 @@ class _Analysis:
     def complex(self) -> simplicial.AbstractComplex:
         return simplicial.AbstractComplex(complexes.abstract_facets(self.table))
 
-    def priority(self) -> dict[int, int]:
-        return complexes.decomposition_priority(self.params, self.table.vertices)
-
 
 def _source(args):
     """The complex of `shelling` or `homology`, its params document, and its
@@ -129,11 +129,11 @@ _SHELL_STEPS = {
 }
 
 
-def _shell(comp, priority, max_states):
+def _shell(comp, max_states):
     """Find a vertex decomposition, walk it to a facet order and verify the
     order: (the ShellingOrder, None, None), or (None, the failed step, its
     detail)."""
-    cert = simplicial.find_vertex_decomposition(comp, priority, max_states=max_states)
+    cert = simplicial.find_vertex_decomposition(comp, max_states=max_states)
     if cert is None:
         return None, "decomposition-found", None
     order = simplicial.shelling_from_decomposition(comp, cert)
@@ -150,7 +150,22 @@ def _shell(comp, priority, max_states):
 
 def cmd_count(args):
     params = _params(args)
+    # h_from_f makes (rank + 1)**2 / 2 subtractions of ints of at most
+    # n (bitlen(3m + 4) + 1) bits: every f-vector entry is at most
+    # C(mn + n, n) 2**n < (e (m + 1))**n 2**n
+    bits = params.n * ((3 * params.m + 4).bit_length() + 1)
+    projected, bound = (params.rank + 1) ** 2 // 2 * bits, COUNT_MAX_BIT_OPERATIONS
+    if projected > bound:
+        raise ResourceLimitError(f"count projects {count_text(projected)} bit operations for "
+                                 f"its h-vector, over bound {bound}",
+                                 projected=projected, bound=bound)
     f = counting.f_vector(params)
+    # by the closed forms, no number in the report exceeds the largest f entry
+    projected, bound = digit_count(max(f)), sys.get_int_max_str_digits()
+    if bound and projected > bound:
+        raise ResourceLimitError(f"the largest f-vector entry has {projected} digits, over the "
+                                 f"interpreter's limit of {bound} for int strings",
+                                 projected=projected, bound=bound)
     h = counting.h_from_f(f)
     nar = counting.narayana_vector(params)
     result = {
@@ -179,7 +194,13 @@ def cmd_enumerate(args):
 
 def cmd_facets(args):
     params = _params(args)
-    rows = [_labels(face) for face in complexes.facets(params, max_faces=args.max_faces)]
+    table = enumerate_faces(params, max_faces=args.max_faces)
+    # the vertices are in `Diagonal.sort_key` order, so a facet's index tuple
+    # lists its diagonals as `Face.sorted_diagonals` does
+    labels = [diagonal_to_labels(params, d) for d in table.vertices]
+    top = table.by_cardinality[-1]
+    del table  # the faces below the top are freed before the rows are built
+    rows = [[labels[j] for j in ix] for ix in top]
     lines = [_tokens(row) for row in rows]
     if args.format == "lines":
         for line in lines:
@@ -218,13 +239,10 @@ def cmd_render(args):
 
 def cmd_shelling(args):
     comp, params_doc, analysis = _source(args)
-    priority = narayana_vec = None
-    if analysis is not None:
-        priority, narayana_vec = analysis.priority(), counting.narayana_vector(analysis.params)
     witness = comp.impure_witness()
     if witness is not None:
         raise _Violation(f"impure complex: facet {sorted(witness)} is not of top dimension")
-    shelling, failed, detail = _shell(comp, priority, args.max_states)
+    shelling, failed, detail = _shell(comp, args.max_states)
     if failed:
         raise _Violation(_SHELL_STEPS[failed].format(detail))
 
@@ -239,14 +257,15 @@ def cmd_shelling(args):
         "restriction sizes: " + " ".join(f"{k}:{v}" for k, v in sorted(hist.items())),
     ]
     code = EXIT_OK
-    if narayana_vec is not None:
+    if analysis is not None:
+        nar = counting.narayana_vector(analysis.params)
         got = shelling.h_vector(comp.dim)
         result["h_vector_from_restrictions"] = list(got)
-        result["narayana"] = list(narayana_vec)
-        result["matches_narayana"] = got == narayana_vec
+        result["narayana"] = list(nar)
+        result["matches_narayana"] = got == nar
         lines.append(f"h-vector from restrictions: {' '.join(map(str, got))}")
-        lines.append(f"narayana:                   {' '.join(map(str, narayana_vec))}")
-        if got != narayana_vec:
+        lines.append(f"narayana:                   {' '.join(map(str, nar))}")
+        if got != nar:
             lines.append("MISMATCH: restriction histogram differs from the narayana vector")
             code = EXIT_VIOLATION
     return params_doc, result, lines, code
@@ -351,7 +370,7 @@ def _suite_bijection(analysis: _Analysis) -> list[dict]:
 
 def _suite_shelling(analysis: _Analysis) -> list[dict]:
     comp = analysis.complex
-    shelling, failed, detail = _shell(comp, analysis.priority(), analysis.max_states)
+    shelling, failed, detail = _shell(comp, analysis.max_states)
     checks = []
     for step in _SHELL_STEPS:
         checks.append(_check("shelling." + step, step != failed,

@@ -214,10 +214,6 @@ def _extend(face, cand, rows, by_card, top, emitted, bound) -> int:
     return emitted
 
 
-def facets(params: PolygonParams, max_faces: int | None = None) -> list[Face]:
-    return enumerate_faces(params, max_faces=max_faces).facets()
-
-
 def check_pure(table: FaceTable) -> Face | None:
     """Return a witness face contained in no facet, or None when pure.
 
@@ -292,20 +288,3 @@ def abstract_facets(table: FaceTable) -> list[frozenset[int]]:
         out.extend(frozenset(ix) for ix in level if ix not in covered)
     return out
 
-
-def decomposition_priority(params: PolygonParams, vertices: list[Diagonal]) -> dict[int, int]:
-    """Search hints for vertex decomposition, keyed by vertex index.
-
-    A minimal diagonal cuts off an (m+2)-gon whose m interior corners sit at
-    positions 1..m; diagonals incident to an earlier corner come first, those
-    at the same corner ordered clockwise by their other endpoint.
-    """
-    m, size = params.m, params.size
-    keys = []
-    for idx, g in enumerate(constituent_positions(params, vertices)):
-        # `size` is no position, so a diagonal off the corners sorts last
-        corner = min((p for c in g for p in c if 1 <= p <= m), default=size)
-        clockwise = min(((corner - (b if a == corner else a)) % size
-                         for a, b in g if corner in (a, b)), default=0)
-        keys.append((corner, clockwise, vertices[idx].sort_key, idx))
-    return {idx: pos for pos, (*_, idx) in enumerate(sorted(keys))}

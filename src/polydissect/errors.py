@@ -1,6 +1,12 @@
 """Shared exception types."""
 
 
+def digit_count(n: int) -> int:
+    """The number of decimal digits of an int n > 0, without `str`."""
+    digits = int(n.bit_length() * 0.30102999566398120)  # log10(2); at most one short
+    return digits + (10 ** digits <= n)
+
+
 def count_text(n: int) -> str:
     """A count for a message: `n` in decimal, or, when `str` refuses it for
     having too many digits, its first six digits and its length."""
@@ -8,9 +14,7 @@ def count_text(n: int) -> str:
         return str(n)
     except ValueError:  # over sys.get_int_max_str_digits() digits
         pass
-    digits = int(n.bit_length() * 0.30102999566398120)  # log10(2); at most one short
-    if 10 ** digits <= n:
-        digits += 1
+    digits = digit_count(n)
     return f"{n // 10 ** (digits - 6)}... ({digits} digits)"
 
 

@@ -245,21 +245,19 @@ def _ridge_completions(facets: Iterable[Iterable], bit: dict) -> dict[int, int]:
 
 
 def find_vertex_decomposition(
-    complex_: AbstractComplex,
-    priority: dict | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
+    complex_: AbstractComplex, *, max_states: int = DEFAULT_MAX_STATES
 ) -> Certificate | None:
     """Search for a vertex decomposition; None when the complex has none.
 
     The search runs on packed facets: each is a string whose code points are
     the positions of its vertices in `complex_.vertices`, in increasing
-    order.  Candidates are tried in `priority` order (missing vertices come
-    last), ties in vertex order.  A subproblem's facets are the root facets
-    through every vertex coned on its path and avoiding every vertex shed,
-    with the coned ones removed; it carries both vertex sets as bitmasks, so
-    a candidate v sheds to a pure deletion when, for each facet F through
-    it, some vertex other than v and the shed ones completes the ridge
-    (F + coned) - v to a root facet, looked up in a ridge index built once.
+    order, and a subproblem tries its vertices as candidates in that order.
+    A subproblem's facets are the root facets through every vertex coned on
+    its path and avoiding every vertex shed, with the coned ones removed; it
+    carries both vertex sets as bitmasks, so a candidate v sheds to a pure
+    deletion when, for each facet F through it, some vertex other than v and
+    the shed ones completes the ridge (F + coned) - v to a root facet,
+    looked up in a ridge index built once.
 
     Subproblems are memoized on their canonical form, successes and
     failures alike, and capped at `max_states`.  The canonical form is
@@ -268,8 +266,8 @@ def find_vertex_decomposition(
     only when a second one shares them are both keyed.  A success is stored
     as found, with its vertex order; a subproblem that reuses it gets an
     O(1) renaming wrapper, and the certificate is rebuilt once, at the end,
-    with the mappings composed.  A subproblem of dimension at least 1 whose first
-    candidate fails is checked for connectivity and fails at once when
+    with the mappings composed.  A subproblem of dimension at least 1 whose
+    first candidate fails is checked for connectivity and fails at once when
     disconnected, since a shellable complex of dimension at least 1 is
     connected.  An explicit stack of generators, one per subproblem, drives
     the search, so its depth is not bounded by the interpreter's recursion
@@ -287,11 +285,6 @@ def find_vertex_decomposition(
             bound=sys.maxunicode + 1,
         )
     chars = "".join(map(chr, range(len(names))))
-    rank = priority or {}
-    candidate_key = (
-        {c: (rank.get(v, len(rank)), c) for v, c in zip(names, chars)}.__getitem__
-        if rank else None
-    )
     pos = dict(zip(names, chars))
     root = ["".join(sorted(map(pos.__getitem__, f))) for f in complex_.facets]
     bit = {c: 1 << i for i, c in enumerate(chars)}
@@ -340,7 +333,7 @@ def find_vertex_decomposition(
         if len(facets) <= 1:
             return leaf
         # a string, not a list of one-character strings, is kept while suspended
-        candidates = "".join(sorted(set("".join(facets)), key=candidate_key))
+        candidates = "".join(sorted(set("".join(facets))))
         shape = (len(facets), len(facets[0]), len(candidates))
         filed = memo.get(shape)
         if filed is None:

@@ -68,6 +68,8 @@ CASES = [
     "count --family A --m 2 --n x",
     "count --family A --m 2 --n 3 --max-faces -1",
     "count --family A --m 2 --n 3 --format lines",
+    "count --family B --m 1 --n 100000",
+    "count --family B --m 100 --n 3000 --format json",
     # enumerate
     "enumerate --family A --m 2 --n 3",
     "enumerate --family A --m 3 --n 3 --format json",

@@ -8,6 +8,7 @@ more literal forms live here, each written once:
   chords a diagonal draws, pairwise compatibility, the shorter side of a
   chord and the label of a diagonal's initial point;
 * the stage walker of the type-B encoding, on a plain list of positions;
+* the facets of a dissection complex as one list of `Face`s;
 * the face operations on abstract complexes (face test, deletion, link, join,
   cone) and the deterministic facet order;
 * `f_from_h`, the inverse of `counting.h_from_f`.
@@ -15,6 +16,7 @@ more literal forms live here, each written once:
 
 from math import comb
 
+from polydissect.complexes import enumerate_faces
 from polydissect.polygons import KIND_DIAMETER, KIND_PAIR, chord
 from polydissect.simplicial import AbstractComplex, sort_vertices
 
@@ -110,6 +112,14 @@ def peel_stages(params, pool):
         for w in window:
             active.remove(w)
             active.remove((w + half) % size)
+
+
+# -- dissection complexes --------------------------------------------------------
+
+
+def facets(params, max_faces=None):
+    """Every facet of the complex as a `Face`, all at once."""
+    return enumerate_faces(params, max_faces=max_faces).facets()
 
 
 # -- abstract complexes ----------------------------------------------------------

@@ -10,12 +10,7 @@ import time
 from polydissect import counting, homology
 from polydissect.bijection import decode, encode
 from polydissect.cli import main
-from polydissect.complexes import (
-    abstract_facets,
-    decomposition_priority,
-    diameter_count,
-    enumerate_faces,
-)
+from polydissect.complexes import abstract_facets, diameter_count, enumerate_faces
 from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams
 from polydissect.simplicial import (
     AbstractComplex,
@@ -125,9 +120,7 @@ def test_criterion_06_decomposition_and_shelling_everywhere():
             params = PolygonParams(fam, m, n)
             table = enumerate_faces(params)
             comp = AbstractComplex(abstract_facets(table))
-            cert = find_vertex_decomposition(
-                comp, decomposition_priority(params, table.vertices)
-            )
+            cert = find_vertex_decomposition(comp)
             if cert is None or not verify_vertex_decomposition(comp, cert):
                 ok = False
                 continue

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import facets as oracle_facets
 from polydissect import cli, complexes, counting, simplicial
 from polydissect.cli import main
+from polydissect.documents import diagonal_to_labels
 from polydissect.polygons import PolygonParams
 
 OK, VIOLATION, USAGE, RESOURCE, INTERNAL = 0, 1, 2, 3, 4
@@ -250,6 +252,20 @@ def test_bijection_suite_builds_each_face_once(monkeypatch, capsys):
     assert built == [ix for level in table.by_cardinality for ix in level]
 
 
+@pytest.mark.parametrize("family,m,n", [("A", 1, 1), ("A", 1, 5), ("A", 3, 3), ("B", 1, 1),
+                                          ("B", 2, 3), ("B", 3, 2)])
+def test_facets_lists_the_oracle_facets_without_building_faces(monkeypatch, capsys,
+                                                               family, m, n):
+    params = PolygonParams(family, m, n)
+    rows = [[diagonal_to_labels(params, d) for d in f.sorted_diagonals()]
+            for f in oracle_facets(params)]
+    monkeypatch.setattr(complexes, "Face", None)  # any Face built fails the command
+    code, out, _ = run(capsys, "facets", "--family", family, "--m", str(m), "--n", str(n),
+                       "--format", "json")
+    assert code == OK
+    assert json.loads(out)["result"]["facets"] == rows
+
+
 def test_shelling_builds_only_the_root_complex(monkeypatch, capsys):
     built = []
     init = simplicial.AbstractComplex.__init__
@@ -289,6 +305,38 @@ def test_counts_too_long_to_print_exit_three(monkeypatch, capsys):
     assert (code, out) == (RESOURCE, "")
     assert err == "resource limit: projected face count 300000... (5001 digits) " \
                   "exceeds bound 10000000\n"
+
+
+def test_count_refuses_a_quadratic_h_vector_before_computing_it(monkeypatch, capsys):
+    # (rank + 1)**2 / 2 subtractions of up to n (bitlen(3m + 4) + 1) bits
+    def refused(params, top=None):
+        raise AssertionError("the f-vector is computed past the bound")
+
+    monkeypatch.setattr(counting, "face_counts", refused)
+    code, out, err = run(capsys, "count", "--family", "B", "--m", "1", "--n", "100000")
+    projected = 100_001 ** 2 // 2 * 100_000 * 4
+    assert (code, out) == (RESOURCE, "")
+    assert err == f"resource limit: count projects {projected} bit operations for its " \
+                  f"h-vector, over bound {cli.COUNT_MAX_BIT_OPERATIONS}\n"
+
+
+def test_count_refuses_entries_too_long_to_print(monkeypatch, capsys):
+    code, out, err = run(capsys, "count", "--family", "B", "--m", "1000000", "--n", "700",
+                         "--format", "json")
+    assert (code, out) == (RESOURCE, "")
+    assert err == "resource limit: the largest f-vector entry has 4503 digits, over the " \
+                  f"interpreter's limit of {sys.get_int_max_str_digits()} for int strings\n"
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    code, _, _ = run(capsys, "count", "--family", "B", "--m", "1000", "--n", "20")
+    assert code == OK
+
+
+def test_count_just_under_its_bounds_reports(capsys):
+    code, out, _ = run(capsys, "count", "--family", "B", "--m", "1", "--n", "2000",
+                       "--format", "json")
+    f = json.loads(out)["result"]["f_vector"]
+    assert code == OK and f == list(counting.f_vector(PolygonParams("B", 1, 2000)))
+    assert 2001 ** 2 // 2 * 2000 * 4 <= cli.COUNT_MAX_BIT_OPERATIONS
 
 
 def test_projected_count_of_a_huge_complex_is_refused(capsys):

@@ -1,6 +1,6 @@
 """Face enumeration against closed forms, a brute-force clique oracle and
 the pairwise scan enumeration that the bitmask enumeration replaced; the
-region audit and the search priority against their `Chord`-based forms."""
+region audit against its `Chord`-based form."""
 
 import gc
 import random
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compatible, constituents
+from oracles import compatible, constituents, facets
 from polydissect import counting
 from polydissect.complexes import (
     DEFAULT_MAX_FACES,
@@ -19,12 +19,10 @@ from polydissect.complexes import (
     FaceTable,
     abstract_facets,
     check_pure,
-    decomposition_priority,
     diameter_count,
     enumerate_faces,
     face_from_diagonals,
     facet_region_audit,
-    facets,
     is_face,
     max_faces_bound,
     region_sizes,
@@ -328,25 +326,6 @@ def split_region_sizes(face):
     return sorted(split(tuple(range(params.size)), chords))
 
 
-def chord_priority(params, vertices):
-    """The search priority on the `Chord`s of each diagonal, as it was first
-    written."""
-    m, size = params.m, params.size
-
-    def key(idx_d):
-        _idx, d = idx_d
-        pts = {p for c in constituents(d, params) for p in c}
-        for rank, corner in enumerate(range(1, m + 1)):
-            if corner in pts:
-                others = [p for c in constituents(d, params) if corner in c for p in c
-                          if p != corner]
-                return (rank, min((corner - p) % size for p in others), d.sort_key)
-        return (m, 0, d.sort_key)
-
-    ranked = sorted(enumerate(vertices), key=key)
-    return {idx: pos for pos, (idx, _d) in enumerate(ranked)}
-
-
 DISSECTION_GRID = [PolygonParams(fam, m, n) for fam in (FAMILY_A, FAMILY_B)
                    for m in range(1, 5) for n in range(1, 7)]
 # the complexes of DISSECTION_GRID with at most 20 000 faces: 41 of the 48
@@ -360,12 +339,6 @@ def test_region_sizes_match_the_splitter_on_every_face(params):
         for ix in level:
             face = table.face_from_indices(ix)
             assert region_sizes(face) == split_region_sizes(face)
-
-
-def test_decomposition_priority_matches_its_chord_oracle():
-    for params in DISSECTION_GRID:
-        vertices = all_diagonals(params)
-        assert decomposition_priority(params, vertices) == chord_priority(params, vertices)
 
 
 def test_region_sizes_match_the_splitter_on_random_diagonal_sets():
@@ -509,13 +482,3 @@ def test_abstract_facets_are_the_maximal_faces_of_an_impure_table():
     table = FaceTable(params, all_diagonals(params)[:3], [[()], [(0,), (1,), (2,)], [(0, 1)]])
     assert sorted(abstract_facets(table), key=sorted) == [frozenset({0, 1}), frozenset({2})]
     assert abstract_facets(FaceTable(params, [], [[()]])) == [frozenset()]
-
-
-def test_decomposition_priority_covers_all_vertices_and_prefers_corners():
-    params = PolygonParams(FAMILY_A, 2, 3)
-    table = enumerate_faces(params)
-    prio = decomposition_priority(params, table.vertices)
-    assert set(prio) == set(range(len(table.vertices)))
-    best = min(prio, key=prio.get)
-    c = table.vertices[best].canonical
-    assert {c.a, c.b} & {1, 2}  # touches the corner cell cut off by {0, 3}

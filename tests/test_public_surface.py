@@ -20,16 +20,15 @@ PUBLIC = {
     "__init__": [],
     "bijection": ["BijectionImage", "decode", "encode"],
     "cli": [
-        "COMMANDS", "EXIT_INTERNAL", "EXIT_OK", "EXIT_RESOURCE", "EXIT_USAGE", "EXIT_VIOLATION",
-        "SUITES", "SUITE_CHECKS", "build_parser", "cmd_count", "cmd_decode", "cmd_encode",
-        "cmd_enumerate", "cmd_facets", "cmd_homology", "cmd_render", "cmd_shelling",
-        "cmd_verify", "main", "run",
+        "COMMANDS", "COUNT_MAX_BIT_OPERATIONS", "EXIT_INTERNAL", "EXIT_OK", "EXIT_RESOURCE",
+        "EXIT_USAGE", "EXIT_VIOLATION", "SUITES", "SUITE_CHECKS", "build_parser", "cmd_count",
+        "cmd_decode", "cmd_encode", "cmd_enumerate", "cmd_facets", "cmd_homology", "cmd_render",
+        "cmd_shelling", "cmd_verify", "main", "run",
     ],
     "complexes": [
         "DEFAULT_MAX_FACES", "Face", "FaceTable", "MAX_FACES_ENV", "abstract_facets",
-        "check_pure", "decomposition_priority", "diameter_count", "enumerate_faces",
-        "face_from_diagonals", "facet_region_audit", "facets", "is_face", "max_faces_bound",
-        "non_negative_int", "region_sizes",
+        "check_pure", "diameter_count", "enumerate_faces", "face_from_diagonals",
+        "facet_region_audit", "is_face", "max_faces_bound", "non_negative_int", "region_sizes",
     ],
     "counting": [
         "count_faces", "diameter_face_count", "f_vector", "face_counts", "facet_count",
@@ -43,7 +42,7 @@ PUBLIC = {
     ],
     "errors": [
         "FaceDocumentError", "InvalidImageError", "MalformedFaceError", "PolydissectError",
-        "ResourceLimitError", "ShellingError", "count_text",
+        "ResourceLimitError", "ShellingError", "count_text", "digit_count",
     ],
     "homology": ["BoundaryMatrix", "boundary_matrix", "matrix_rank", "reduced_betti"],
     "polygons": [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import NotAFaceError, cone, deletion, has_face, join, link, sorted_facets
 from polydissect import counting, simplicial
-from polydissect.complexes import abstract_facets, decomposition_priority, enumerate_faces
+from polydissect.complexes import abstract_facets, enumerate_faces
 from polydissect.errors import ResourceLimitError, ShellingError
 from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams
 from polydissect.simplicial import (
@@ -168,27 +168,25 @@ def counting_renames(monkeypatch):
 
 
 def test_memoized_certificates_stay_valid_across_relabelings(monkeypatch):
-    # two isomorphic links with different vertex names force a memo hit;
-    # the returned certificates must name each complex's own vertices
-    params = PolygonParams(FAMILY_A, 1, 3)
+    # two isomorphic links with different vertex names force a memo hit (in
+    # the hexagon's complex; the pentagon's search makes none); the returned
+    # certificates must name each complex's own vertices
+    params = PolygonParams(FAMILY_A, 1, 4)
     table = enumerate_faces(params)
     c = AbstractComplex(abstract_facets(table))
-    prio = decomposition_priority(params, table.vertices)
     renames = counting_renames(monkeypatch)
-    cert = find_vertex_decomposition(c, prio)
+    cert = find_vertex_decomposition(c)
     assert cert is not None
     assert len(renames) > 1  # at least one memo hit, plus the final renaming
     assert verify_vertex_decomposition(c, cert)
 
 
 def padded_path():
-    return AbstractComplex([f"p{i:03d}", f"p{i + 1:03d}"] for i in range(300)), None
+    return AbstractComplex([f"p{i:03d}", f"p{i + 1:03d}"] for i in range(300))
 
 
 def generated_b23():
-    params = PolygonParams(FAMILY_B, 2, 3)
-    table = enumerate_faces(params)
-    return AbstractComplex(abstract_facets(table)), decomposition_priority(params, table.vertices)
+    return AbstractComplex(abstract_facets(enumerate_faces(PolygonParams(FAMILY_B, 2, 3))))
 
 
 def test_search_keys_no_state_of_the_padded_path(monkeypatch):
@@ -201,7 +199,7 @@ def test_search_keys_no_state_of_the_padded_path(monkeypatch):
 
     canonical_form = simplicial._canonical_form
     monkeypatch.setattr(simplicial, "_canonical_form", counted)
-    c, _ = padded_path()
+    c = padded_path()
     cert = find_vertex_decomposition(c)
     assert verify_vertex_decomposition(c, cert)
     assert calls == []
@@ -209,7 +207,7 @@ def test_search_keys_no_state_of_the_padded_path(monkeypatch):
 
 @pytest.mark.parametrize("make", [padded_path, generated_b23])
 def test_search_renames_only_on_memo_hits(monkeypatch, make):
-    c, prio = make()
+    c = make()
     keys = []
 
     def recorded(facets):
@@ -220,7 +218,7 @@ def test_search_renames_only_on_memo_hits(monkeypatch, make):
     canonical_form = simplicial._canonical_form
     monkeypatch.setattr(simplicial, "_canonical_form", recorded)
     renames = counting_renames(monkeypatch)
-    cert = find_vertex_decomposition(c, prio)
+    cert = find_vertex_decomposition(c)
     hits = len(keys) - len(set(keys))  # a state's key recurs only on a memo hit
     assert 1 <= len(renames) <= hits + 1  # the final renaming restores the names
     assert verify_vertex_decomposition(c, cert)
@@ -271,7 +269,7 @@ def test_pentagon_shelling_histogram():
     params = PolygonParams(FAMILY_A, 1, 3)
     table = enumerate_faces(params)
     c = AbstractComplex(abstract_facets(table))
-    cert = find_vertex_decomposition(c, decomposition_priority(params, table.vertices))
+    cert = find_vertex_decomposition(c)
     sh = verify_shelling(c, shelling_from_decomposition(c, cert))
     assert sh.restriction_histogram() == {0: 1, 1: 3, 2: 1}
     assert sh.h_vector(c.dim) == (1, 3, 1) == counting.narayana_vector(params)
@@ -281,7 +279,7 @@ def test_shelling_histogram_matches_narayana_for_b22():
     params = PolygonParams(FAMILY_B, 2, 2)
     table = enumerate_faces(params)
     c = AbstractComplex(abstract_facets(table))
-    cert = find_vertex_decomposition(c, decomposition_priority(params, table.vertices))
+    cert = find_vertex_decomposition(c)
     sh = verify_shelling(c, shelling_from_decomposition(c, cert))
     assert sh.h_vector(c.dim) == (1, 8, 6) == counting.narayana_vector(params)
 
@@ -678,14 +676,10 @@ def oracle_rename(cert, mapping):
     )
 
 
-def oracle_find(complex_, priority=None):
+def oracle_find(complex_):
     """The name-based memoized search, renaming every certificate it stores."""
-    rank = priority or {}
     memo = {}
     leaf = DecompositionLeaf()
-
-    def candidate_order(verts):
-        return sorted(sort_vertices(verts), key=lambda v: rank.get(v, len(rank)))
 
     def search(facets):
         if len(facets) <= 1:
@@ -708,7 +702,7 @@ def oracle_find(complex_, priority=None):
         ground = set().union(*facets)
 
         result = None
-        for v in candidate_order(ground):
+        for v in sort_vertices(ground):
             inside = [f for f in facets if v in f]
             outside = [f for f in facets if v not in f]
             if outside and any(cover[f - {v}] == 1 for f in inside):
@@ -739,19 +733,21 @@ named_pure_facets = st.tuples(
                            max_size=12)
     ),
     st.none() | st.permutations(NAMES),
-    st.none() | st.dictionaries(st.integers(0, 9), st.integers(0, 3), max_size=6),
 )
+
+
+def renamed_case(facets, names):
+    """The complex of `facets`, with vertex v named names[v] when names are given."""
+    if names is not None:
+        facets = [frozenset(names[v] for v in f) for f in facets]
+    return AbstractComplex(facets)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(named_pure_facets)
 def test_search_matches_name_based_oracle(case):
-    facets, names, priority = case  # a priority may leave vertices out
-    if names is not None:
-        facets = [frozenset(names[v] for v in f) for f in facets]
-        priority = priority and {names[v]: r for v, r in priority.items()}
-    c = AbstractComplex(facets)
-    assert find_vertex_decomposition(c, priority) == oracle_find(c, priority)
+    c = renamed_case(*case)
+    assert find_vertex_decomposition(c) == oracle_find(c)
 
 
 @pytest.mark.parametrize("family,m,n", [(FAMILY_A, 1, 4), (FAMILY_B, 2, 3)])
@@ -759,13 +755,11 @@ def test_generated_certificates_match_name_based_oracle(family, m, n):
     params = PolygonParams(family, m, n)
     table = enumerate_faces(params)
     c = AbstractComplex(abstract_facets(table))
-    prio = decomposition_priority(params, table.vertices)
-    cert = find_vertex_decomposition(c, prio)
-    assert cert is not None and cert == oracle_find(c, prio)
+    cert = find_vertex_decomposition(c)
+    assert cert is not None and cert == oracle_find(c)
     names = {v: f"x{(7 * v) % 101}" for v in c.vertices}  # names out of vertex order
     renamed = AbstractComplex({names[v] for v in f} for f in c.facets)
-    renamed_prio = {names[v]: r for v, r in prio.items()}
-    assert find_vertex_decomposition(renamed, renamed_prio) == oracle_find(renamed, renamed_prio)
+    assert find_vertex_decomposition(renamed) == oracle_find(renamed)
 
 
 PIECE_NAMES = [f"v{i}" for i in range(18)]  # shuffled, as above
@@ -778,24 +772,24 @@ disjoint_unions = st.tuples(
         )
     ),
     st.none() | st.permutations(PIECE_NAMES),
-    st.none() | st.dictionaries(st.integers(0, 17), st.integers(0, 3), max_size=9),
 )
+
+
+def disjoint_union(case):
+    """(facets, names) from (pieces, names): piece j takes the vertices
+    6j ... 6j + 5, so the pieces share none."""
+    pieces, names = case
+    return [frozenset(6 * j + v for v in f) for j, piece in enumerate(pieces) for f in piece], names
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(disjoint_unions)
 def test_pruned_search_matches_name_based_oracle_on_disjoint_unions(case):
-    # piece j takes the vertices 6j ... 6j + 5, so the pieces share none
-    pieces, names, priority = case
-    facets = [frozenset(6 * j + v for v in f) for j, piece in enumerate(pieces) for f in piece]
-    if names is not None:
-        facets = [frozenset(names[v] for v in f) for f in facets]
-        priority = priority and {names[v]: r for v, r in priority.items()}
-    c = AbstractComplex(facets)
-    assert find_vertex_decomposition(c, priority) == oracle_find(c, priority)
+    c = renamed_case(*disjoint_union(case))
+    assert find_vertex_decomposition(c) == oracle_find(c)
 
 
-def eager_find(complex_, priority=None, max_states=simplicial.DEFAULT_MAX_STATES):
+def eager_find(complex_, max_states=simplicial.DEFAULT_MAX_STATES):
     """The packed search keying every subproblem on its canonical form, with
     the free ridges of each subproblem counted afresh for the purity test."""
     names = complex_.vertices
@@ -804,11 +798,6 @@ def eager_find(complex_, priority=None, max_states=simplicial.DEFAULT_MAX_STATES
     if not complex_.is_pure():
         return None
     chars = "".join(map(chr, range(len(names))))
-    rank = priority or {}
-    candidate_key = (
-        {c: (rank.get(v, len(rank)), c) for v, c in zip(names, chars)}.__getitem__
-        if rank else None
-    )
     memo = {}
     leaf = DecompositionLeaf()
     stack = []
@@ -816,7 +805,7 @@ def eager_find(complex_, priority=None, max_states=simplicial.DEFAULT_MAX_STATES
     def search(facets, key, order):
         free = None
         result = None
-        for i, v in enumerate("".join(sorted(order, key=candidate_key))):
+        for i, v in enumerate("".join(sorted(order))):
             if i == 1 and len(facets[0]) >= 2 and not simplicial._connected(facets):
                 break
             inside = [f for f in facets if v in f]
@@ -872,25 +861,11 @@ def eager_find(complex_, priority=None, max_states=simplicial.DEFAULT_MAX_STATES
         simplicial._rename(found, dict(zip(chars, names))))
 
 
-def renamed_case(facets, names, priority):
-    if names is not None:
-        facets = [frozenset(names[v] for v in f) for f in facets]
-        priority = priority and {names[v]: r for v, r in priority.items()}
-    return AbstractComplex(facets), priority
-
-
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.one_of(
-    named_pure_facets,
-    disjoint_unions.map(lambda case: (
-        [frozenset(6 * j + v for v in f) for j, piece in enumerate(case[0]) for f in piece],
-        case[1],
-        case[2],
-    )),
-))
+@given(st.one_of(named_pure_facets, disjoint_unions.map(disjoint_union)))
 def test_lazily_keyed_search_matches_the_eagerly_keyed_one(case):
-    c, priority = renamed_case(*case)
-    assert find_vertex_decomposition(c, priority) == eager_find(c, priority)
+    c = renamed_case(*case)
+    assert find_vertex_decomposition(c) == eager_find(c)
 
 
 def outcome(find, *args, **kwargs):
@@ -902,10 +877,10 @@ def outcome(find, *args, **kwargs):
 
 @pytest.mark.parametrize("make", [padded_path, generated_b23])
 def test_state_bound_counts_the_states_of_the_eager_search(make):
-    c, prio = make()
+    c = make()
     for bound in (0, 1, 2, 3, 10, 29, 30, 31, 100, 298, 299, 300):
-        got = outcome(find_vertex_decomposition, c, prio, max_states=bound)
-        assert got == outcome(eager_find, c, prio, max_states=bound)
+        got = outcome(find_vertex_decomposition, c, max_states=bound)
+        assert got == outcome(eager_find, c, max_states=bound)
 
 
 def brute_force_decomposable(facets):
