@@ -32,9 +32,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-# the work `count` may project for its h-vector
-COUNT_MAX_BIT_OPERATIONS = 20_000_000_000
-
 
 class _Violation(Exception):
     """A violated invariant found before any report: `main` prints the
@@ -94,10 +91,14 @@ def _spaced(values, empty: str = "(none)") -> str:
 class _Analysis:
     """The face table and abstract complex of one parameter set, each built
     at most once, when a command or suite first asks for it; `max_states`
-    bounds the decomposition search of the shelling suite."""
+    bounds the decomposition search of the shelling suite.  An imported
+    facet list comes as its complex, with no params and no table."""
 
-    def __init__(self, params, max_faces=None, max_states=simplicial.DEFAULT_MAX_STATES):
+    def __init__(self, params, max_faces=None, max_states=simplicial.DEFAULT_MAX_STATES,
+                 imported=None):
         self.params, self.max_faces, self.max_states = params, max_faces, max_states
+        if imported is not None:
+            self.complex = imported
 
     @cached_property
     def table(self) -> complexes.FaceTable:
@@ -107,17 +108,23 @@ class _Analysis:
     def complex(self) -> simplicial.AbstractComplex:
         return simplicial.AbstractComplex(complexes.abstract_facets(self.table))
 
+    def face_closure(self) -> dict[int, list[tuple]]:
+        """The faces keyed by dimension, for `homology.reduced_betti`: the
+        table's levels, or the bounded closure of an imported complex."""
+        if self.params is None:
+            return simplicial.faces_by_dimension(self.complex, self.max_faces)
+        return dict(enumerate(self.table.by_cardinality, -1))
+
 
 def _source(args):
-    """The complex of `shelling` or `homology`, its params document, and its
-    analysis, which is None for an imported facet list."""
+    """The params document and the analysis of `shelling` or `homology`."""
     if args.facets_file:
         comp = simplicial.parse_facet_lines(_read_text(args.facets_file))
         if not comp.facets:
             raise ValueError(f"no facets in --facets-file {args.facets_file}: every line is blank")
-        return comp, {"facets_file": args.facets_file}, None
+        return {"facets_file": args.facets_file}, _Analysis(None, args.max_faces, imported=comp)
     analysis = _Analysis(_params(args), args.max_faces)
-    return analysis.complex, _params_dict(analysis.params), analysis
+    return _params_dict(analysis.params), analysis
 
 
 # The steps of the shelling chain in order, with `shelling`'s message when
@@ -154,7 +161,7 @@ def cmd_count(args):
     # n (bitlen(3m + 4) + 1) bits: every f-vector entry is at most
     # C(mn + n, n) 2**n < (e (m + 1))**n 2**n
     bits = params.n * ((3 * params.m + 4).bit_length() + 1)
-    projected, bound = (params.rank + 1) ** 2 // 2 * bits, COUNT_MAX_BIT_OPERATIONS
+    projected, bound = (params.rank + 1) ** 2 // 2 * bits, complexes.COUNT_MAX_BIT_OPERATIONS
     if projected > bound:
         raise ResourceLimitError(f"count projects {count_text(projected)} bit operations for "
                                  f"its h-vector, over bound {bound}",
@@ -238,7 +245,8 @@ def cmd_render(args):
 
 
 def cmd_shelling(args):
-    comp, params_doc, analysis = _source(args)
+    params_doc, analysis = _source(args)
+    comp = analysis.complex
     witness = comp.impure_witness()
     if witness is not None:
         raise _Violation(f"impure complex: facet {sorted(witness)} is not of top dimension")
@@ -257,7 +265,7 @@ def cmd_shelling(args):
         "restriction sizes: " + " ".join(f"{k}:{v}" for k, v in sorted(hist.items())),
     ]
     code = EXIT_OK
-    if analysis is not None:
+    if analysis.params is not None:
         nar = counting.narayana_vector(analysis.params)
         got = shelling.h_vector(comp.dim)
         result["h_vector_from_restrictions"] = list(got)
@@ -272,12 +280,12 @@ def cmd_shelling(args):
 
 
 def cmd_homology(args):
-    comp, params_doc, analysis = _source(args)
-    betti = homology.reduced_betti(comp, args.max_faces)
+    params_doc, analysis = _source(args)
+    betti = homology.reduced_betti(analysis.face_closure())
     result = {"reduced_betti": list(betti)}
     lines = ["reduced Betti numbers: " + _spaced(betti)]
     code = EXIT_OK
-    if analysis is not None:
+    if analysis.params is not None:
         expected = _expected_betti(analysis.params)
         result["expected"] = list(expected)
         result["matches_expected"] = betti == expected
@@ -354,7 +362,7 @@ def _suite_bijection(analysis: _Analysis) -> list[dict]:
             images[i].add((image.a, image.eps))
             diam_by_eps[i] += image.eps[-1] == 1
             diam_by_audit[i] += complexes.diameter_count(face) > 0
-    expected_counts = [counting.count_faces(params, i) for i in cards]
+    expected_counts = list(counting.f_vector(params))
     got_counts = [len(s) for s in images]
     expected_diam = [0] + [counting.diameter_face_count(params, i) for i in cards[1:]]
     return [
@@ -385,7 +393,7 @@ def _suite_shelling(analysis: _Analysis) -> list[dict]:
 
 def _suite_homology(analysis: _Analysis) -> list[dict]:
     params = analysis.params
-    betti = homology.reduced_betti(analysis.complex, analysis.max_faces)
+    betti = homology.reduced_betti(analysis.face_closure())
     expected = _expected_betti(params)
     checks = [_check("homology.betti-wedge-of-spheres", betti == expected,
                      list(expected), list(betti))]

@@ -34,6 +34,9 @@ from .polygons import (
 
 DEFAULT_MAX_FACES = 10_000_000
 MAX_FACES_ENV = "POLYDISSECT_MAX_FACES"
+# the big-int work a count of faces, by `enumerate_faces` or `count`, may
+# project before it starts
+COUNT_MAX_BIT_OPERATIONS = 20_000_000_000
 
 
 def non_negative_int(text: str) -> int:
@@ -147,12 +150,20 @@ def enumerate_faces(
     faces extended only by higher-indexed vertices, candidates taken in
     increasing order), so repeated runs produce identical tables.  Raises
     ResourceLimitError when the projected total face count exceeds the bound,
-    and ValueError when `up_to` is negative.
+    or summing it would take over COUNT_MAX_BIT_OPERATIONS, and ValueError
+    when `up_to` is negative.
     """
     if up_to is not None and up_to < 0:
         raise ValueError(f"up_to must be >= 0, got {up_to}")
     bound = max_faces_bound(max_faces)
     top = params.rank if up_to is None else min(up_to, params.rank)
+    # top + 1 terms, each at most C(mn + n, n) 2**n < (e (m + 1))**n 2**n,
+    # so of at most n (bitlen(3m + 4) + 1) bits
+    work = (top + 1) * params.n * ((3 * params.m + 4).bit_length() + 1)
+    if work > COUNT_MAX_BIT_OPERATIONS:
+        raise ResourceLimitError(f"projecting the face count takes {count_text(work)} bit "
+                                 f"operations, over bound {COUNT_MAX_BIT_OPERATIONS}",
+                                 projected=work, bound=COUNT_MAX_BIT_OPERATIONS)
     projected = sum(counting.face_counts(params, top))
     if projected > bound:
         raise ResourceLimitError(

@@ -21,19 +21,10 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def count_faces(params: PolygonParams, i: int) -> int:
-    """Number of faces with exactly i diagonals, in closed form."""
-    m, n = params.m, params.n
-    if not 0 <= i <= params.rank:
-        raise ValueError(f"face cardinality {i} out of range 0..{params.rank}")
-    if params.family == FAMILY_A:
-        return _exact_div(comb(m * n + i + 1, i) * comb(n, i + 1), n, "count_faces(A)")
-    return comb(m * n + i, i) * comb(n, i)
-
-
 def face_counts(params: PolygonParams, top: int | None = None):
-    """`count_faces(params, i)` for i = 0 .. `top` (default: the rank), each
-    term from the one before by their ratio, with exact division."""
+    """The number of faces with i diagonals, for i = 0 .. `top` (default: the
+    rank), in closed form: each term from the one before by their ratio,
+    with exact division."""
     mn, n = params.m * params.n, params.n
     a = params.family == FAMILY_A
     term = 1  # no diagonals: the empty face
@@ -85,11 +76,6 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 def reduced_euler(f: tuple[int, ...]) -> int:
     """Reduced Euler characteristic -1 + f_0 - f_1 + ... from an f-vector."""
     return sum(f[k] if k % 2 else -f[k] for k in range(len(f)))
-
-
-def facet_count(params: PolygonParams) -> int:
-    """Generalized Catalan number: number of full dissections."""
-    return count_faces(params, params.rank)
 
 
 def diameter_face_count(params: PolygonParams, i: int) -> int:

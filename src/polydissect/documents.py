@@ -26,12 +26,10 @@ from .errors import FaceDocumentError
 from .polygons import (
     FAMILY_A,
     FAMILY_B,
-    KIND_DIAMETER,
     Diagonal,
     PolygonParams,
     a_diagonal,
     b_diagonal,
-    initial_position,
 )
 
 REPORT_SCHEMA = "polydissect.report/1"
@@ -69,12 +67,10 @@ def diagonal_from_labels(params: PolygonParams, pair) -> Diagonal:
 
 
 def diagonal_to_labels(params: PolygonParams, d: Diagonal) -> list[int]:
-    """Signed label pair of the canonical chord, initial point first."""
+    """Signed label pair of the canonical chord, initial point first: a
+    type-B canonical chord (a, b) starts at a, the positive end of a
+    diameter or the start of a pair's short constituent."""
     a, b = d.canonical
-    if d.kind == KIND_DIAMETER:
-        b = params.mirror(a)
-    elif params.family != FAMILY_A and initial_position(params.size, a, b) != a:
-        a, b = b, a
     return [params.label_of_position(a), params.label_of_position(b)]
 
 

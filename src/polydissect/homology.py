@@ -101,18 +101,17 @@ def matrix_rank(entries: dict[tuple[int, int], int]) -> int:
     return len(owners)
 
 
-def reduced_betti(complex_: AbstractComplex, max_faces: int | None = None) -> tuple[int, ...]:
-    """Reduced Betti numbers (b_0, ..., b_dim) over the rationals, from one
-    face closure shared by every degree.
+def reduced_betti(faces: dict[int, list[tuple]]) -> tuple[int, ...]:
+    """Reduced Betti numbers (b_0, ..., b_dim) over the rationals of the face
+    closure `faces`, keyed by dimension as `faces_by_dimension` returns it:
+    each face a tuple of vertices in one global order, the empty face at -1.
 
-    Raises ResourceLimitError when the face closure exceeds `max_faces`
-    (default `complexes.max_faces_bound()`)."""
-    fbd = faces_by_dimension(complex_, max_faces)
-    if not fbd:
-        return ()
-    dim = max(fbd)
+    It builds no closure, so the face bound is the caller's: a `FaceTable`
+    hands over its levels, `dict(enumerate(table.by_cardinality, -1))`, and
+    an `AbstractComplex` its bounded `faces_by_dimension`."""
+    dim = max(faces, default=-1)
     if dim < 0:
         return ()
-    ranks = [matrix_rank(_boundary_entries(fbd, k)) for k in range(dim + 1)]
+    ranks = [matrix_rank(_boundary_entries(faces, k)) for k in range(dim + 1)]
     ranks.append(0)  # no chains above the top dimension
-    return tuple(len(fbd[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+    return tuple(len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))

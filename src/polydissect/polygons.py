@@ -157,7 +157,8 @@ def b_pair(params: PolygonParams, x: int, y: int) -> Diagonal:
     """Type-B mirror pair containing the chord through positions x, y.
 
     Raises ValueError when the chord is a diameter, joins adjacent vertices,
-    crosses its mirror, or its center-free arc is not 1 mod m.
+    or its center-free arc is not 1 mod m.  No chord crosses its mirror: on
+    an even polygon a chord and its half-turn image never interleave.
     """
     if params.family != FAMILY_B:
         raise ValueError("b_pair needs family-B parameters")
@@ -191,18 +192,16 @@ def pair_chord(size: int, m: int, x: int, y: int) -> tuple[int, int]:
     if 2 * t == size:
         raise ValueError(f"chord {Chord(a, b)} is a diameter, not a pair constituent")
     half = size // 2
-    c, d = (a + half) % size, (b + half) % size
-    if c > d:
-        c, d = d, c
-    if a < c < b < d or c < a < d < b:
-        raise ValueError(f"chord {Chord(a, b)} crosses its mirror {Chord(c, d)}")
     arc = min(t, size - t)  # the center-free side
     if (arc - 1) % m != 0:
         raise ValueError(
             f"pair through {Chord(a, b)} cuts off parts with {arc + 1} vertices, not 2 mod {m}"
         )
     # canonical constituent: the one whose travel starts at a positive label
-    return (a, b) if initial_position(size, a, b) < half else (c, d)
+    if initial_position(size, a, b) < half:
+        return a, b
+    c, d = (a + half) % size, (b + half) % size
+    return (c, d) if c < d else (d, c)
 
 
 def initial_position(size: int, a: int, b: int) -> int:

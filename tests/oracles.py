@@ -11,13 +11,15 @@ more literal forms live here, each written once:
 * the facets of a dissection complex as one list of `Face`s;
 * the face operations on abstract complexes (face test, deletion, link, join,
   cone) and the deterministic facet order;
+* the binomial closed forms of the face counts, `count_faces` and
+  `facet_count`, which `counting.face_counts` computes by a ratio recurrence;
 * `f_from_h`, the inverse of `counting.h_from_f`.
 """
 
 from math import comb
 
 from polydissect.complexes import enumerate_faces
-from polydissect.polygons import KIND_DIAMETER, KIND_PAIR, chord
+from polydissect.polygons import FAMILY_A, KIND_DIAMETER, KIND_PAIR, chord
 from polydissect.simplicial import AbstractComplex, sort_vertices
 
 # -- polygon geometry ------------------------------------------------------------
@@ -171,6 +173,24 @@ def cone(complex_, apex):
 
 
 # -- counting ----------------------------------------------------------------------
+
+
+def count_faces(params, i):
+    """Number of faces with exactly i diagonals, in closed form."""
+    m, n = params.m, params.n
+    if not 0 <= i <= params.rank:
+        raise ValueError(f"face cardinality {i} out of range 0..{params.rank}")
+    if params.family == FAMILY_A:
+        q, r = divmod(comb(m * n + i + 1, i) * comb(n, i + 1), n)
+        if r:
+            raise ArithmeticError(f"count_faces(A): remainder {r}")
+        return q
+    return comb(m * n + i, i) * comb(n, i)
+
+
+def facet_count(params):
+    """Generalized Catalan number: number of full dissections."""
+    return count_faces(params, params.rank)
 
 
 def f_from_h(h):

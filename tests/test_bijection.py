@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from polydissect import counting
+from polydissect import bijection, counting
 from polydissect.bijection import BijectionImage, decode, encode
 from polydissect.complexes import Face, diameter_count, enumerate_faces, face_from_diagonals
 from polydissect.documents import load_face
@@ -66,23 +66,58 @@ def test_round_trip_and_injectivity_everywhere(m, n):
             assert list(image.a) == sorted(image.a)
             assert decode(params, image.a, image.eps) == face
             images.add((image.a, image.eps))
-        assert len(images) == table.count(i) == counting.count_faces(params, i)
+        assert len(images) == table.count(i) == counting.f_vector(params)[i]
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
 def test_decode_is_total_on_well_formed_words(m, n):
-    """Every weakly increasing a with a matching eps decodes to a face, so the
-    code words are not merely an image set: they fill the whole product."""
+    """Every word that passes `decode`'s up-front checks (a weakly increasing
+    over 1..half, eps n bits with len(a) ones) decodes to a face, so the code
+    words are not merely an image set: they fill the whole product, and the
+    words with i ones are as many as the faces with i diagonals."""
     params = PolygonParams(FAMILY_B, m, n)
-    seen = set()
+    words, seen = [0] * (n + 1), [set() for _ in range(n + 1)]
     for i in range(n + 1):
         for a in combinations_with_replacement(range(1, params.half + 1), i):
             for ones in combinations(range(n), i):
                 eps = tuple(1 if k in ones else 0 for k in range(n))
                 face = decode(params, a, eps)
                 assert encode(face) == BijectionImage(a, eps)
-                seen.add(face)
-    assert len(seen) == sum(counting.f_vector(params))
+                words[i] += 1
+                seen[i].add(face)
+    assert words == [len(faces) for faces in seen] == list(counting.f_vector(params))
+
+
+B12 = PolygonParams(FAMILY_B, 1, 2)  # a hexagon: half 3, diameters (0, 3), (1, 4), (2, 5)
+
+
+def walker(*stages):
+    """A faulty stand-in for `bijection._peel` that yields `stages` as given."""
+    def peel(params, pool):
+        yield from stages
+    return peel
+
+
+@pytest.mark.parametrize("stages,call,error,message", [
+    ([(0, None, None, None)], lambda: encode(Face(B12, frozenset([diameter(B12, 0)]))),
+     MalformedFaceError, "no initial point has a free window; not a face"),
+    ([(0, 1, 2, [3])], lambda: encode(Face(B12, frozenset([diameter(B12, 0)]))),
+     MalformedFaceError, f"{diameter(B12, 0)} touches a deleted vertex; not a face"),
+    ([(0, None, None, None)], lambda: decode(B12, (1,), (1, 0)),
+     InvalidImageError, "no eligible initial point at stage 1"),
+    ([(0, 0, 1, [])], lambda: decode(B12, (1,), (1, 0)),
+     InvalidImageError, f"stage 1 drew an invalid diagonal: chord {chord(0, 1)} joins "
+                        "adjacent vertices"),
+    ([(0, 0, 3, []), (1, 1, 4, [])], lambda: decode(B12, (1, 2), (1, 1)),
+     InvalidImageError, "decoded diagonals do not form a face"),
+])
+def test_in_walk_rejections_through_a_faulty_walker(monkeypatch, stages, call, error, message):
+    """The stage walker never reaches these raises on input that passes the
+    up-front checks (see above), so a faulty walker forces each one."""
+    monkeypatch.setattr(bijection, "_peel", walker(*stages))
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 @pytest.mark.parametrize("m,n", GRID)

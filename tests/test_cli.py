@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import facets as oracle_facets
-from polydissect import cli, complexes, counting, simplicial
+from polydissect import cli, complexes, counting, homology, simplicial
 from polydissect.cli import main
 from polydissect.documents import diagonal_to_labels
 from polydissect.polygons import PolygonParams
@@ -234,6 +234,34 @@ def test_verify_enumerates_at_most_once(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("homology", "--family", "B", "--m", "2", "--n", "3"),
+    ("verify", "--family", "B", "--m", "2", "--n", "3", "--suite", "all"),
+])
+def test_generated_homology_ranks_the_enumerated_table(monkeypatch, capsys, argv):
+    """A generated complex is enumerated once and ranked from its table: no
+    second face closure, and for `homology` no `AbstractComplex` either."""
+    calls = {"enumerate_faces": 0, "faces_by_dimension": 0, "AbstractComplex": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "enumerate_faces", counted("enumerate_faces", cli.enumerate_faces))
+    closure = counted("faces_by_dimension", simplicial.faces_by_dimension)
+    monkeypatch.setattr(simplicial, "faces_by_dimension", closure)
+    monkeypatch.setattr(homology, "faces_by_dimension", closure)
+    monkeypatch.setattr(simplicial.AbstractComplex, "__init__",
+                        counted("AbstractComplex", simplicial.AbstractComplex.__init__))
+    code, out, _ = run(capsys, *argv)
+    assert code == OK and out.endswith(("expected:              0 0 20\n",
+                                        "17/17 checks passed\n"))
+    built = 0 if argv[0] == "homology" else 1  # the shelling suite's complex
+    assert calls == {"enumerate_faces": 1, "faces_by_dimension": 0, "AbstractComplex": built}
+
+
 def test_bijection_suite_builds_each_face_once(monkeypatch, capsys):
     built, levels = [], []
     face_from_indices = complexes.FaceTable.face_from_indices
@@ -317,7 +345,7 @@ def test_count_refuses_a_quadratic_h_vector_before_computing_it(monkeypatch, cap
     projected = 100_001 ** 2 // 2 * 100_000 * 4
     assert (code, out) == (RESOURCE, "")
     assert err == f"resource limit: count projects {projected} bit operations for its " \
-                  f"h-vector, over bound {cli.COUNT_MAX_BIT_OPERATIONS}\n"
+                  f"h-vector, over bound {complexes.COUNT_MAX_BIT_OPERATIONS}\n"
 
 
 def test_count_refuses_entries_too_long_to_print(monkeypatch, capsys):
@@ -336,7 +364,7 @@ def test_count_just_under_its_bounds_reports(capsys):
                        "--format", "json")
     f = json.loads(out)["result"]["f_vector"]
     assert code == OK and f == list(counting.f_vector(PolygonParams("B", 1, 2000)))
-    assert 2001 ** 2 // 2 * 2000 * 4 <= cli.COUNT_MAX_BIT_OPERATIONS
+    assert 2001 ** 2 // 2 * 2000 * 4 <= complexes.COUNT_MAX_BIT_OPERATIONS
 
 
 def test_projected_count_of_a_huge_complex_is_refused(capsys):
@@ -345,6 +373,21 @@ def test_projected_count_of_a_huge_complex_is_refused(capsys):
     assert (code, out) == (RESOURCE, "")
     assert err == "resource limit: projected face count 640266... (11726 digits) " \
                   "exceeds bound 10000000\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "facets", "verify", "homology", "shelling"])
+def test_face_count_projection_is_refused_past_the_bit_bound(monkeypatch, capsys, command):
+    # (rank + 1) terms of up to n (bitlen(3m + 4) + 1) bits
+    def refused(params, top=None):
+        raise AssertionError("the face counts are summed past the bound")
+
+    monkeypatch.setattr(counting, "face_counts", refused)
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "--family", "B", "--m", "1", "--n", "100000")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (RESOURCE, "")
+    assert err == f"resource limit: projecting the face count takes {100_001 * 100_000 * 4} " \
+                  f"bit operations, over bound {complexes.COUNT_MAX_BIT_OPERATIONS}\n"
 
 
 @pytest.mark.parametrize("value", ["-5", "abc"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import compatible, constituents, facets
 from polydissect import counting
 from polydissect.complexes import (
@@ -70,7 +71,7 @@ def scan_enumeration(params, up_to=None, max_faces=None):
     later diagonal compatible with all of its members, in increasing order."""
     bound = max_faces_bound(max_faces)
     top = params.rank if up_to is None else min(up_to, params.rank)
-    projected = sum(counting.count_faces(params, i) for i in range(top + 1))
+    projected = sum(oracles.count_faces(params, i) for i in range(top + 1))
     if projected > bound:
         raise ResourceLimitError(
             f"projected face count {projected} exceeds bound {bound}",
@@ -153,7 +154,7 @@ def test_max_faces_bounds_raise_like_the_scan(fam, m, n, monkeypatch):
             got = _limit_error(enumerate_faces, params, up_to=up_to, max_faces=bound)
             assert got == _limit_error(scan_enumeration, params, up_to=up_to, max_faces=bound)
     # with the projection out of the way, the bound is met mid-enumeration
-    monkeypatch.setattr(counting, "count_faces", lambda params, i: 0)  # the scan's
+    monkeypatch.setattr(oracles, "count_faces", lambda params, i: 0)  # the scan's
     monkeypatch.setattr(counting, "face_counts", lambda params, top: [0])  # enumerate_faces'
     for bound in bounds:
         got = _limit_error(enumerate_faces, params, max_faces=bound)

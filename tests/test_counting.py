@@ -3,8 +3,8 @@
 The h-vector oracles are the binomial sum h_k = sum_i (-1)^(k-i) C(d-i, d-k)
 f_i, and an expansion of sum_i f[i] * (x-1)^(d-i) with integer polynomial
 arithmetic, both independent of the Taylor shift under test.  Face counts
-built from ratios of consecutive terms are checked against `count_faces`,
-the closed form in binomials.
+built from ratios of consecutive terms are checked against the oracle
+`count_faces`, the closed form in binomials.
 """
 
 import random
@@ -12,13 +12,11 @@ from math import comb
 
 import pytest
 
-from oracles import f_from_h
+from oracles import count_faces, f_from_h, facet_count
 from polydissect.counting import (
-    count_faces,
     diameter_face_count,
     f_vector,
     face_counts,
-    facet_count,
     h_from_f,
     is_m_sequence,
     macaulay_bound,

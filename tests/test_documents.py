@@ -22,11 +22,13 @@ from polydissect.errors import FaceDocumentError
 from polydissect.polygons import (
     FAMILY_A,
     FAMILY_B,
+    KIND_PAIR,
     PolygonParams,
     a_diagonal,
     all_diagonals,
     b_pair,
     diameter,
+    initial_position,
 )
 
 
@@ -48,6 +50,23 @@ def test_diagonal_label_round_trip_family_b():
     assert diagonal_to_labels(params, diam) == [11, -11]
     assert diagonal_from_labels(params, [11, -11]) == diam
     assert diagonal_from_labels(params, [-11, 11]) == diam
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_canonical_chords_start_at_their_initial_point(m):
+    """`diagonal_to_labels` writes the canonical chord (a, b) as it is: a
+    pair's canonical chord is its short constituent, whose travel starts at
+    its smaller end, and a diameter's runs from its positive end."""
+    for n in range(1, 9):
+        params = PolygonParams(FAMILY_B, m, n)
+        size = params.size
+        for d in all_diagonals(params):
+            a, b = d.canonical
+            if d.kind == KIND_PAIR:
+                assert 2 * (b - a) < size and initial_position(size, a, b) == a < params.half
+            else:
+                assert b == params.mirror(a) and a < params.half
+            assert diagonal_to_labels(params, d)[0] == params.label_of_position(a) > 0
 
 
 def test_face_document_round_trip():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydissect import counting, homology
+from polydissect import counting
 from polydissect.complexes import abstract_facets, enumerate_faces
 from polydissect.homology import boundary_matrix, matrix_rank, reduced_betti
 from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams
@@ -184,17 +184,21 @@ def test_degree_zero_boundary_is_augmentation():
     assert matrix_rank(b0.entries) == 1
 
 
-def test_reduced_betti_builds_the_face_closure_once(monkeypatch):
-    calls = []
+GENERATED = [PolygonParams(fam, m, n) for fam in (FAMILY_A, FAMILY_B)
+             for m in (1, 2, 3) for n in range(1, 7)]
 
-    def counted(*args):
-        calls.append(args)
-        return faces_by_dimension(*args)
 
-    monkeypatch.setattr(homology, "faces_by_dimension", counted)
-    params = PolygonParams(FAMILY_B, 2, 3)
-    assert reduced_betti(AbstractComplex(abstract_facets(enumerate_faces(params)))) == (0, 0, 20)
-    assert len(calls) == 1
+@pytest.mark.parametrize("params", [p for p in GENERATED if sum(counting.f_vector(p)) <= 10_000],
+                         ids=lambda p: f"{p.family}-{p.m}-{p.n}")
+def test_table_levels_are_the_face_closure(params):
+    """A face table's levels are the closure of its maximal faces, face for
+    face and in order, so `reduced_betti` ranks them as it ranks the closure
+    that `faces_by_dimension` builds, which stays the oracle."""
+    table = enumerate_faces(params)
+    levels = dict(enumerate(table.by_cardinality, -1))
+    closure = faces_by_dimension(AbstractComplex(abstract_facets(table)))
+    assert levels == closure
+    assert reduced_betti(levels) == reduced_betti(closure)
 
 
 def test_boundary_rejects_negative_degree():
@@ -202,21 +206,26 @@ def test_boundary_rejects_negative_degree():
         boundary_matrix(cx([(0, 1)]), -1)
 
 
+def betti(comp):
+    return reduced_betti(faces_by_dimension(comp))
+
+
 def test_small_complex_betti_numbers():
-    assert reduced_betti(cx([(0, 1), (1, 2), (0, 2)])) == (0, 1)  # hollow triangle
-    assert reduced_betti(cx([(0, 1, 2)])) == (0, 0, 0)  # filled triangle
-    assert reduced_betti(cx([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])) == (0, 1)
-    assert reduced_betti(cx([(0, 1), (2, 3)])) == (1, 0)  # two components
-    assert reduced_betti(cx([(0,), (1,), (2,)])) == (2,)
+    assert betti(cx([(0, 1), (1, 2), (0, 2)])) == (0, 1)  # hollow triangle
+    assert betti(cx([(0, 1, 2)])) == (0, 0, 0)  # filled triangle
+    assert betti(cx([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])) == (0, 1)
+    assert betti(cx([(0, 1), (2, 3)])) == (1, 0)  # two components
+    assert betti(cx([(0,), (1,), (2,)])) == (2,)
     octa = cx(
         [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)]
     )
-    assert reduced_betti(octa) == (0, 0, 1)
+    assert betti(octa) == (0, 0, 1)
 
 
 def test_degenerate_complexes_have_empty_betti():
-    assert reduced_betti(AbstractComplex([])) == ()
-    assert reduced_betti(AbstractComplex([()])) == ()
+    assert betti(AbstractComplex([])) == ()
+    assert betti(AbstractComplex([()])) == ()
+    assert reduced_betti({}) == reduced_betti({-1: [()]}) == ()
 
 
 @pytest.mark.parametrize(
@@ -231,7 +240,7 @@ def test_degenerate_complexes_have_empty_betti():
     ],
 )
 def test_dissection_complexes_are_wedges_of_spheres(fam, m, n, expected):
-    assert reduced_betti(complex_of(fam, m, n)) == expected
+    assert betti(complex_of(fam, m, n)) == expected
 
 
 @pytest.mark.parametrize(
@@ -240,6 +249,6 @@ def test_dissection_complexes_are_wedges_of_spheres(fam, m, n, expected):
 )
 def test_euler_poincare_identity(fam, m, n):
     params = PolygonParams(fam, m, n)
-    betti = reduced_betti(complex_of(fam, m, n))
-    alternating = sum(b if k % 2 == 0 else -b for k, b in enumerate(betti))
+    numbers = betti(complex_of(fam, m, n))
+    alternating = sum(b if k % 2 == 0 else -b for k, b in enumerate(numbers))
     assert alternating == counting.reduced_euler(counting.f_vector(params))

@@ -63,9 +63,8 @@ def test_chord_is_canonical():
 
 @pytest.mark.parametrize("size", range(4, 15))
 def test_crossing_matches_oracle(size):
-    """`positions_cross`, the copy of its rule inlined in
-    `pairwise_compatible` and the copy in `pair_chord` (a chord against its
-    mirror) all give the oracle's answer, on every chord pair."""
+    """`positions_cross` and the copy of its rule inlined in
+    `pairwise_compatible` give the oracle's answer, on every chord pair."""
     points = range(size)
     chords = [chord(x, y) for x in points for y in points if x < y]
     for c1 in chords:
@@ -75,22 +74,22 @@ def test_crossing_matches_oracle(size):
             assert positions_cross([c1], [c2]) == cross
             assert positions_cross([c2], [c1]) == cross
             assert pairwise_compatible([(c1,), (c2,)]) == (not cross)
-    if size % 2:
-        return  # a mirror needs a centrally symmetric polygon
+
+
+@pytest.mark.parametrize("size", range(4, 41, 2))
+def test_no_chord_crosses_its_mirror(size):
+    """On a centrally symmetric polygon a chord and its half-turn image never
+    interleave, so `pair_chord` needs no crossing test of its own: a chord
+    that passes its other checks is a valid pair constituent."""
     half = size // 2
-    for c in chords:
-        t = c.b - c.a
-        if min(t, size - t) < 2 or 2 * t == size:
-            continue  # refused before the mirror is drawn
-        mirror = chord((c.a + half) % size, (c.b + half) % size)
-        try:
-            pair_chord(size, 1, c.a, c.b)  # m = 1 refuses no arc length
-            refused = False
-        except ValueError as exc:
-            assert str(exc) == f"chord {c} crosses its mirror {mirror}"
-            refused = True
-        # a chord and its half-turn image never interleave, so both are False
-        assert refused == crossing_oracle(c, mirror, size)
+    for a in range(size):
+        for b in range(a + 1, size):
+            mirror = chord((a + half) % size, (b + half) % size)
+            assert not crossing_oracle(chord(a, b), mirror, size)
+            t = b - a
+            if min(t, size - t) >= 2 and 2 * t != size:
+                c, d = pair_chord(size, 1, a, b)  # m = 1 refuses no arc length
+                assert (c, d) in ((a, b), tuple(mirror))
 
 
 @pytest.mark.parametrize("fam,m,n", [(FAMILY_A, 2, 3), (FAMILY_B, 1, 3), (FAMILY_B, 2, 2)])

@@ -20,20 +20,21 @@ PUBLIC = {
     "__init__": [],
     "bijection": ["BijectionImage", "decode", "encode"],
     "cli": [
-        "COMMANDS", "COUNT_MAX_BIT_OPERATIONS", "EXIT_INTERNAL", "EXIT_OK", "EXIT_RESOURCE",
-        "EXIT_USAGE", "EXIT_VIOLATION", "SUITES", "SUITE_CHECKS", "build_parser", "cmd_count",
-        "cmd_decode", "cmd_encode", "cmd_enumerate", "cmd_facets", "cmd_homology", "cmd_render",
-        "cmd_shelling", "cmd_verify", "main", "run",
+        "COMMANDS", "EXIT_INTERNAL", "EXIT_OK", "EXIT_RESOURCE", "EXIT_USAGE", "EXIT_VIOLATION",
+        "SUITES", "SUITE_CHECKS", "build_parser", "cmd_count", "cmd_decode", "cmd_encode",
+        "cmd_enumerate", "cmd_facets", "cmd_homology", "cmd_render", "cmd_shelling",
+        "cmd_verify", "main", "run",
     ],
     "complexes": [
-        "DEFAULT_MAX_FACES", "Face", "FaceTable", "MAX_FACES_ENV", "abstract_facets",
-        "check_pure", "diameter_count", "enumerate_faces", "face_from_diagonals",
-        "facet_region_audit", "is_face", "max_faces_bound", "non_negative_int", "region_sizes",
+        "COUNT_MAX_BIT_OPERATIONS", "DEFAULT_MAX_FACES", "Face", "FaceTable", "MAX_FACES_ENV",
+        "abstract_facets", "check_pure", "diameter_count", "enumerate_faces",
+        "face_from_diagonals", "facet_region_audit", "is_face", "max_faces_bound",
+        "non_negative_int", "region_sizes",
     ],
     "counting": [
-        "count_faces", "diameter_face_count", "f_vector", "face_counts", "facet_count",
-        "h_from_f", "is_m_sequence", "macaulay_bound", "macaulay_representation", "narayana",
-        "narayana_vector", "reduced_euler",
+        "diameter_face_count", "f_vector", "face_counts", "h_from_f", "is_m_sequence",
+        "macaulay_bound", "macaulay_representation", "narayana", "narayana_vector",
+        "reduced_euler",
     ],
     "documents": [
         "REPORT_SCHEMA", "diagonal_from_labels", "diagonal_to_labels", "dump_json",
