@@ -157,9 +157,7 @@ def enumerate_faces(
         raise ValueError(f"up_to must be >= 0, got {up_to}")
     bound = max_faces_bound(max_faces)
     top = params.rank if up_to is None else min(up_to, params.rank)
-    # top + 1 terms, each at most C(mn + n, n) 2**n < (e (m + 1))**n 2**n,
-    # so of at most n (bitlen(3m + 4) + 1) bits
-    work = (top + 1) * params.n * ((3 * params.m + 4).bit_length() + 1)
+    work = (top + 1) * counting.f_entry_bits(params)  # summing top + 1 terms
     if work > COUNT_MAX_BIT_OPERATIONS:
         raise ResourceLimitError(f"projecting the face count takes {count_text(work)} bit "
                                  f"operations, over bound {COUNT_MAX_BIT_OPERATIONS}",
@@ -175,9 +173,10 @@ def enumerate_faces(
     vertices = all_diagonals(params)
     chords = constituent_positions(params, vertices)
     v = len(vertices)
-    # rows[k]: the diagonals after k that are compatible with it
+    # rows[k]: the diagonals after k that are compatible with it, read only
+    # when a face below the top level is extended
     rows = [0] * v
-    for i in range(v):
+    for i in range(v if top >= 2 else 0):
         g, row = chords[i], 0
         for j in range(i + 1, v):
             if not positions_cross(g, chords[j]):

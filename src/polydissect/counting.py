@@ -38,6 +38,12 @@ def face_counts(params: PolygonParams, top: int | None = None):
     yield term
 
 
+def f_entry_bits(params: PolygonParams) -> int:
+    """A bound on the bit length of every f-vector entry, n (bitlen(3m + 4) + 1):
+    each entry is at most C(mn + n, n) 2**n < (e (m + 1))**n 2**n."""
+    return params.n * ((3 * params.m + 4).bit_length() + 1)
+
+
 def f_vector(params: PolygonParams) -> tuple[int, ...]:
     """Closed-form f-vector (entry k = number of k-diagonal faces)."""
     return tuple(face_counts(params))

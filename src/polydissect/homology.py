@@ -3,10 +3,11 @@
 Chains are indexed by the faces of the complex in canonical sorted order,
 with the empty face as the basis of degree -1, so the degree-0 boundary map
 is the all-ones augmentation row.  Betti numbers come from exact ranks of
-the sparse boundary matrices, computed by integer column reduction: each
-column's pivot is its lowest nonzero row, and a column whose pivot is taken
-is cancelled against the owner of that pivot with integer multipliers, then
-divided by the gcd of its entries.  No division is ever inexact.
+the sparse boundary matrices, built one {row: sign} column at a time and
+reduced as they arrive, by integer column reduction: each column's pivot
+is its lowest nonzero row, and a column whose pivot is taken is cancelled
+against the owner of that pivot with integer multipliers, then divided by
+the gcd of its entries.  No division is ever inexact.
 """
 
 from __future__ import annotations
@@ -39,15 +40,14 @@ class BoundaryMatrix:
         return f"BoundaryMatrix(degree={self.degree!r}, rows={self.rows!r}, cols={self.cols!r})"
 
 
-def _boundary_entries(fbd: dict[int, list[tuple]], k: int) -> dict[tuple[int, int], int]:
-    """Signed entries of the degree-k boundary map of the face closure `fbd`."""
-    row_index = {face: i for i, face in enumerate(fbd.get(k - 1, []))}
-    entries: dict[tuple[int, int], int] = {}
-    for j, face in enumerate(fbd.get(k, [])):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1 :]
-            entries[(row_index[sub], j)] = -1 if pos % 2 else 1
-    return entries
+def _boundary_columns(faces: dict[int, list[tuple]], k: int):
+    """The degree-k boundary map of the face closure `faces`, one column per
+    k-face in order: a {row: sign} dict over the indices of the (k-1)-faces,
+    the sign alternating by the index of the dropped vertex."""
+    row_index = {face: i for i, face in enumerate(faces.get(k - 1, []))}
+    for face in faces.get(k, []):
+        yield {row_index[face[:pos] + face[pos + 1:]]: -1 if pos % 2 else 1
+               for pos in range(len(face))}
 
 
 def boundary_matrix(
@@ -59,26 +59,25 @@ def boundary_matrix(
     if k < 0:
         raise ValueError(f"boundary degree must be >= 0, got {k}")
     fbd = faces_by_dimension(complex_, max_faces)
-    return BoundaryMatrix(k, fbd.get(k - 1, []), fbd.get(k, []), _boundary_entries(fbd, k))
+    entries = {(i, j): sign for j, col in enumerate(_boundary_columns(fbd, k))
+               for i, sign in col.items()}
+    return BoundaryMatrix(k, fbd.get(k - 1, []), fbd.get(k, []), entries)
 
 
-def matrix_rank(entries: dict[tuple[int, int], int]) -> int:
-    """Exact rank of a sparse integer matrix given as {(row, col): value}.
+def matrix_rank(columns) -> int:
+    """Exact rank of a sparse integer matrix given as its columns: any
+    iterable of {row: value} dicts, reduced one at a time as they arrive.
 
-    Zero values are dropped first, since a pivot must be nonzero.  Columns
-    are reduced left to right.  A column whose lowest row is already the
-    pivot of an earlier column c becomes a*col - b*c, with a and b the two
-    pivot entries divided by their gcd, which clears that row; the result is
-    divided by the gcd of its entries.  The rank is the number of columns
-    left nonzero, whose pivots are distinct.
+    Zero values are dropped first, since a pivot must be nonzero; the
+    caller's dicts are never changed.  A column whose lowest row is already
+    the pivot of an earlier column c becomes a*col - b*c, with a and b the
+    two pivot entries divided by their gcd, which clears that row; the
+    result is divided by the gcd of its entries.  The rank is the number of
+    columns left nonzero, whose pivots are distinct.
     """
-    columns: dict[int, dict[int, int]] = {}
-    for (i, j), x in entries.items():
-        if x:
-            columns.setdefault(j, {})[i] = x
     owners: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
-    for j in sorted(columns):
-        col = columns[j]
+    for col in columns:
+        col = {i: x for i, x in col.items() if x}
         while col:
             low = max(col)
             pivot_col = owners.get(low)
@@ -112,6 +111,6 @@ def reduced_betti(faces: dict[int, list[tuple]]) -> tuple[int, ...]:
     dim = max(faces, default=-1)
     if dim < 0:
         return ()
-    ranks = [matrix_rank(_boundary_entries(faces, k)) for k in range(dim + 1)]
+    ranks = [matrix_rank(_boundary_columns(faces, k)) for k in range(dim + 1)]
     ranks.append(0)  # no chains above the top dimension
     return tuple(len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))

@@ -254,10 +254,8 @@ def pairwise_compatible(groups) -> bool:
     compatibility test of a whole face on integer endpoints."""
     for i, g in enumerate(groups):
         for h in groups[i + 1:]:
-            for a, b in g:  # `positions_cross(g, h)`, inlined
-                for c, d in h:
-                    if a < c < b < d or c < a < d < b:
-                        return False
+            if positions_cross(g, h):
+                return False
     return True
 
 

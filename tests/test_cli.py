@@ -280,6 +280,27 @@ def test_bijection_suite_builds_each_face_once(monkeypatch, capsys):
     assert built == [ix for level in table.by_cardinality for ix in level]
 
 
+def test_bijection_image_counts_count_a_repeated_face_once(monkeypatch, capsys):
+    """Images are counted by the distinct faces of each level, as distinct
+    code words were counted, so a table that lists a face twice reports the
+    same counts."""
+    enumerate_faces = cli.enumerate_faces
+
+    def repeating(*args, **kwargs):
+        table = enumerate_faces(*args, **kwargs)
+        table.by_cardinality[2].append(table.by_cardinality[2][0])
+        return table
+
+    monkeypatch.setattr(cli, "enumerate_faces", repeating)
+    code, out, _ = run(capsys, "verify", "--family", "B", "--m", "1", "--n", "3",
+                       "--suite", "bijection", "--format", "json")
+    f = list(counting.f_vector(PolygonParams("B", 1, 3)))
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    assert code == OK
+    assert checks["bijection.image-counts"] == {
+        "name": "bijection.image-counts", "status": "pass", "expected": f, "got": f}
+
+
 @pytest.mark.parametrize("family,m,n", [("A", 1, 1), ("A", 1, 5), ("A", 3, 3), ("B", 1, 1),
                                           ("B", 2, 3), ("B", 3, 2)])
 def test_facets_lists_the_oracle_facets_without_building_faces(monkeypatch, capsys,

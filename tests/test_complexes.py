@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import compatible, constituents, facets
-from polydissect import counting
+from polydissect import complexes, counting
 from polydissect.complexes import (
     DEFAULT_MAX_FACES,
     MAX_FACES_ENV,
@@ -36,6 +36,7 @@ from polydissect.polygons import (
     all_diagonals,
     b_pair,
     diameter,
+    positions_cross,
 )
 from polydissect.simplicial import DecompositionLeaf, DecompositionNode
 
@@ -257,6 +258,23 @@ def test_up_to_truncates_enumeration():
     assert enumerate_faces(params, up_to=0).f_vector() == (1,)
     with pytest.raises(ValueError, match="up_to must be >= 0"):
         enumerate_faces(params, up_to=-1)
+
+
+def test_enumeration_below_two_diagonals_builds_no_compatibility_rows(monkeypatch):
+    calls = []
+
+    def counted(g, h):
+        calls.append((g, h))
+        return positions_cross(g, h)
+
+    monkeypatch.setattr(complexes, "positions_cross", counted)
+    params = PolygonParams(FAMILY_A, 1, 300)
+    assert enumerate_faces(params, up_to=0).f_vector() == (1,)
+    assert enumerate_faces(params, up_to=1).f_vector() == (1, 45149)
+    assert calls == []
+    small = PolygonParams(FAMILY_A, 1, 4)
+    assert enumerate_faces(small, up_to=2).f_vector() == counting.f_vector(small)[:3]
+    assert calls  # two diagonals read the rows
 
 
 def test_region_sizes_of_empty_face_is_whole_polygon():

@@ -15,6 +15,7 @@ import pytest
 from oracles import count_faces, f_from_h, facet_count
 from polydissect.counting import (
     diameter_face_count,
+    f_entry_bits,
     f_vector,
     face_counts,
     h_from_f,
@@ -133,6 +134,14 @@ def test_f_vector_frozen_values():
     assert f_vector(PolygonParams(FAMILY_B, 2, 3)) == (1, 21, 84, 84)
     assert f_vector(PolygonParams(FAMILY_B, 3, 4)) == (1, 52, 546, 1820, 1820)
     assert f_vector(PolygonParams(FAMILY_A, 3, 1)) == (1,)
+
+
+@pytest.mark.parametrize("fam", [FAMILY_A, FAMILY_B])
+def test_f_entry_bits_bounds_every_entry(fam):
+    """The bound that `count` and `enumerate_faces` charge their big-int work to."""
+    for m, n in [(m, n) for m in range(1, 9) for n in range(1, 41)] + [(1000, 20), (1, 2000)]:
+        params = PolygonParams(fam, m, n)
+        assert max(f_vector(params)).bit_length() <= f_entry_bits(params), (m, n)
 
 
 def test_count_faces_uses_exact_division():

@@ -1,6 +1,7 @@
 """Exact homology: boundary maps, integer rank, Betti numbers.
 
-`matrix_rank` reduces sparse columns over the integers.  Two dense oracles
+`matrix_rank` reduces sparse {row: value} columns over the integers, taken
+from any iterable as they arrive.  Two dense oracles
 check it: an independent Gaussian elimination over fractions.Fraction, and
 the fraction-free (one-step division) integer elimination that computed the
 ranks before the sparse reduction.  Both run on seeded random matrices,
@@ -82,7 +83,16 @@ def dense(bm):
 
 
 def sparse(mat):
-    return {(i, j): x for i, row in enumerate(mat) for j, x in enumerate(row) if x}
+    """The columns of a list of rows, as {row: value} dicts of the nonzeros."""
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat[0]))]
+
+
+def columns(bm):
+    """The boundary matrix's `(row, col)` entries regrouped into columns."""
+    out = [{} for _ in bm.cols]
+    for (i, j), sign in bm.entries.items():
+        out[j][i] = sign
+    return out
 
 
 def mat_mul(a, b):
@@ -119,14 +129,29 @@ def test_rank_matches_fraction_oracle_on_random_matrices():
 
 
 def test_rank_edge_cases():
-    assert matrix_rank({}) == 0
+    assert matrix_rank([]) == 0
+    assert matrix_rank([{}, {}]) == 0
     assert matrix_rank(sparse([[0, 0], [0, 0]])) == 0
-    assert matrix_rank({(0, 1): 0, (1, 0): 0}) == 0  # explicit zeros are no entries
+    assert matrix_rank([{1: 0}, {0: 0}]) == 0  # explicit zeros are no entries
+    assert matrix_rank([{0: 2, 1: 0}, {1: 4}]) == 2  # a zero entry is never a pivot
     assert matrix_rank(sparse([[2]])) == 1
     assert matrix_rank(sparse([[1, 2], [2, 4]])) == 1
     assert matrix_rank(sparse([[1, 0], [0, 1]])) == 2
     assert matrix_rank(sparse([[6, 4], [9, 6]])) == 1  # pivots 9 and 6 share the factor 3
-    assert matrix_rank({(5, 100): 3, (7, 2): -1}) == 2  # indices need not be dense
+    assert matrix_rank([{7: -1}, {}, {5: 3}]) == 2  # row indices need not be dense
+    assert matrix_rank([{100: 3, 2: 1}, {100: 6, 2: 2}, {2: 5}]) == 2
+
+
+def test_rank_reads_columns_once_and_changes_none():
+    """A generator of columns ranks as the list of the same columns, and the
+    caller's dicts come back as they were given, explicit zeros included."""
+    rng = random.Random(20261020)
+    for _ in range(30):
+        mat = [[rng.randrange(-2, 3) for _ in range(6)] for _ in range(5)]
+        cols = [{i: row[j] for i, row in enumerate(mat)} for j in range(6)]
+        before = [dict(col) for col in cols]
+        assert matrix_rank(col for col in cols) == matrix_rank(cols) == rank_oracle(mat)
+        assert cols == before
 
 
 @st.composite
@@ -158,7 +183,7 @@ def test_boundary_ranks_match_dense_oracle_per_degree(fam, m, n):
     comp = complex_of(fam, m, n)
     for k in range(comp.dim + 1):
         bm = boundary_matrix(comp, k)
-        assert matrix_rank(bm.entries) == fraction_free_rank(dense(bm)), k
+        assert matrix_rank(columns(bm)) == fraction_free_rank(dense(bm)), k
 
 
 def test_boundary_composition_is_zero():
@@ -181,7 +206,7 @@ def test_degree_zero_boundary_is_augmentation():
     b0 = boundary_matrix(comp, 0)
     assert b0.rows == [()]
     assert dense(b0) == [[1, 1, 1]]
-    assert matrix_rank(b0.entries) == 1
+    assert matrix_rank(columns(b0)) == 1
 
 
 GENERATED = [PolygonParams(fam, m, n) for fam in (FAMILY_A, FAMILY_B)

@@ -63,8 +63,8 @@ def test_chord_is_canonical():
 
 @pytest.mark.parametrize("size", range(4, 15))
 def test_crossing_matches_oracle(size):
-    """`positions_cross` and the copy of its rule inlined in
-    `pairwise_compatible` give the oracle's answer, on every chord pair."""
+    """`positions_cross`, the one crossing rule, and `pairwise_compatible`,
+    which calls it, give the oracle's answer on every chord pair."""
     points = range(size)
     chords = [chord(x, y) for x in points for y in points if x < y]
     for c1 in chords:

@@ -9,6 +9,7 @@ reads: the entry points `perfbench/tracer.py` wraps by name and the names
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,8 @@ PUBLIC = {
         "non_negative_int", "region_sizes",
     ],
     "counting": [
-        "diameter_face_count", "f_vector", "face_counts", "h_from_f", "is_m_sequence",
+        "diameter_face_count", "f_entry_bits", "f_vector", "face_counts", "h_from_f",
+        "is_m_sequence",
         "macaulay_bound", "macaulay_representation", "narayana", "narayana_vector",
         "reduced_euler",
     ],
@@ -112,3 +114,17 @@ def test_the_lists_hold_every_name_the_benchmark_reads():
     assert {("homology", "boundary_matrix"), ("simplicial", "AbstractComplex"),
             ("polygons", "diameter"), ("complexes", "face_from_diagonals")} <= reads
     assert sorted(r for r in reads if r[1] not in PUBLIC.get(r[0], ())) == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every absolute import in `src/polydissect` names a standard-library
+    module, so the runtime stays stdlib-only."""
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"argparse", "math", "json"} <= imported  # an empty walk cannot pass
+    assert sorted(imported - sys.stdlib_module_names) == []
