@@ -11,11 +11,13 @@ eps entry is 1.  Both directions keep absolute vertex labels and run on one
 stage walker, `_peel`, over int positions: the subpolygon is the cycle of
 not-yet-deleted positions, held as successor links, and the mirror is
 (p + half) % size on local ints.  Both validate their input first and build
-nothing per parameter set, so their cost follows the face, not the polygon.
+no table of diagonals; a walk links every polygon position and refuses,
+with ResourceLimitError, a polygon of over `_MAX_WALK_POSITIONS` of them.
 The checks run on integer positions: `encode` reads each diagonal's endpoint
-positions once, tests pairs with `polygons.pair_chord` (the test `b_pair`
-runs) and diameters by arithmetic, and runs the crossing test and its own
-scans on those tuples; `decode` draws each diagonal through `b_diagonal`.
+positions once, tests pairs with `polygons.pair_chord` (the test
+`b_diagonal` runs) and diameters by arithmetic, and runs the crossing test
+and its own scans on those tuples; `decode` draws each diagonal through
+`b_diagonal`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .complexes import Face, face_from_diagonals, is_face
-from .errors import InvalidImageError, MalformedFaceError
+from .errors import InvalidImageError, MalformedFaceError, ResourceLimitError
 from .polygons import (
     FAMILY_B,
     KIND_DIAMETER,
@@ -36,6 +38,10 @@ from .polygons import (
     pair_chord,
     pairwise_compatible,
 )
+
+# positions a stage walk may link: at up to about 75 bytes a position (the
+# links and encode's window set, 64-bit CPython), a walk peaks under 90 MiB
+_MAX_WALK_POSITIONS = 1_000_000
 
 
 class BijectionImage(namedtuple("BijectionImage", "a eps")):
@@ -58,9 +64,16 @@ def _peel(params: PolygonParams, pool: list[int]):
 
     The active positions form a cycle of successor links.  Deletions come in
     mirror pairs, so the cycle stays symmetric under the half-turn: the
-    mirror window is the m positions after the mirror of p.
+    mirror window is the m positions after the mirror of p.  A nonempty pool
+    past `_MAX_WALK_POSITIONS` raises ResourceLimitError before any link.
     """
     size, m = params.size, params.m
+    if not pool:
+        return
+    if size > _MAX_WALK_POSITIONS:
+        raise ResourceLimitError(f"the stage walk would hold {size} polygon positions, over "
+                                 f"bound {_MAX_WALK_POSITIONS}", projected=size,
+                                 bound=_MAX_WALK_POSITIONS)
     half = size // 2
     succ = list(range(1, size)) + [0]
     for stage in range(params.n):
@@ -93,7 +106,7 @@ def _check_b_face(face: Face) -> list[tuple[tuple[int, int], ...]]:
     constituent positions of its diagonals, in `face.diagonals` order.
 
     Each diagonal is checked on the integer endpoints of its canonical chord,
-    with the test `b_pair` uses for pairs, and the face's crossing test runs
+    with the test `b_diagonal` uses for pairs, and the face's crossing test runs
     on the same tuples.
     """
     params = face.params
@@ -125,7 +138,6 @@ def encode(face: Face) -> BijectionImage:
     groups = _check_b_face(face)
     params = face.params
     size = params.size
-    half = size // 2
 
     # canonical order: distinct diagonals of a face have distinct first chords
     work = sorted(zip(groups, face.diagonals))
@@ -147,8 +159,9 @@ def encode(face: Face) -> BijectionImage:
             del left[hit]
             eps[stage] = 1
             pool.remove(starts[hit])
+        # a diagonal's chords are closed under the half-turn, so it touches
+        # the mirror window exactly when it touches the window
         removed = set(window)
-        removed.update([(w + half) % size for w in window])
         for i in left:
             for x, y in chords[i]:
                 if x in removed or y in removed:

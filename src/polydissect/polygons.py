@@ -153,22 +153,9 @@ def diameter(params: PolygonParams, p: int) -> Diagonal:
     return Diagonal(KIND_DIAMETER, Chord(p, p + half))
 
 
-def b_pair(params: PolygonParams, x: int, y: int) -> Diagonal:
-    """Type-B mirror pair containing the chord through positions x, y.
-
-    Raises ValueError when the chord is a diameter, joins adjacent vertices,
-    or its center-free arc is not 1 mod m.  No chord crosses its mirror: on
-    an even polygon a chord and its half-turn image never interleave.
-    """
-    if params.family != FAMILY_B:
-        raise ValueError("b_pair needs family-B parameters")
-    size = params.size
-    return Diagonal(KIND_PAIR, Chord(*pair_chord(size, params.m, x % size, y % size)))
-
-
 def b_diagonal(params: PolygonParams, x: int, y: int) -> Diagonal:
     """Type-B diagonal through positions x, y: the diameter when they are
-    antipodal, else the mirror pair that `b_pair` builds, with its
+    antipodal, else the mirror pair through them, with `pair_chord`'s
     ValueError."""
     if params.family != FAMILY_B:
         raise ValueError("b_diagonal needs family-B parameters")
@@ -181,8 +168,9 @@ def b_diagonal(params: PolygonParams, x: int, y: int) -> Diagonal:
 
 def pair_chord(size: int, m: int, x: int, y: int) -> tuple[int, int]:
     """Canonical constituent (a, b), a < b, of the type-B mirror pair through
-    positions x, y of a (size)-gon, on ints alone; the validity test of
-    `b_pair`, with its ValueError messages."""
+    positions x, y of a (size)-gon, on ints alone.  Raises ValueError when
+    the chord is a diameter, joins adjacent vertices, or its center-free arc
+    is not 1 mod m; no chord crosses its half-turn image, so none is tested."""
     if x == y:
         raise ValueError(f"chord endpoints must differ, got {x} twice")
     a, b = (x, y) if x < y else (y, x)
@@ -260,17 +248,12 @@ def pairwise_compatible(groups) -> bool:
 
 
 def all_diagonals(params: PolygonParams) -> list[Diagonal]:
-    """Every valid diagonal, sorted by canonical chord positions.  A type-B
-    pair is found through both of its constituents and kept once."""
-    if params.family == FAMILY_A:
-        make, found = a_diagonal, set()
-    else:
-        make, found = b_pair, {diameter(params, p) for p in range(params.half)}
+    """Every valid diagonal, sorted by canonical chord positions: the chords
+    whose shorter arc is m+1, 2m+1, ... up to size // 2 (for family B the
+    last is the half-turn, the diameters), each arc drawn from every start,
+    in at most n * size calls of a constructor that each succeed."""
+    make = a_diagonal if params.family == FAMILY_A else b_diagonal
     size = params.size
-    for x in range(size):
-        for y in range(x + 1, size):
-            try:
-                found.add(make(params, x, y))
-            except ValueError:
-                pass
+    found = {make(params, x, x + t) for t in range(params.m + 1, size // 2 + 1, params.m)
+             for x in range(size)}
     return sorted(found, key=lambda d: d.sort_key)

@@ -517,8 +517,3 @@ def parse_facet_lines(text: str) -> AbstractComplex:
         if tokens:
             facets.append(tokens)
     return AbstractComplex(facets)
-
-
-def format_facet_lines(complex_: AbstractComplex) -> str:
-    lines = [" ".join(str(v) for v in sort_vertices(f)) for f in complex_.facets]
-    return "\n".join(lines) + ("\n" if lines else "")

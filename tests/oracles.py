@@ -7,10 +7,12 @@ more literal forms live here, each written once:
 * the `Chord` geometry: arc lengths, crossing by walking the circle, the
   chords a diagonal draws, pairwise compatibility, the shorter side of a
   chord and the label of a diagonal's initial point;
+* `b_pair`, the mirror pair through a chord, and the diagonals of a polygon
+  found by trying every chord;
 * the stage walker of the type-B encoding, on a plain list of positions;
 * the facets of a dissection complex as one list of `Face`s;
 * the face operations on abstract complexes (face test, deletion, link, join,
-  cone) and the deterministic facet order;
+  cone), the deterministic facet order and the facet-list text writer;
 * the binomial closed forms of the face counts, `count_faces` and
   `facet_count`, which `counting.face_counts` computes by a ratio recurrence;
 * `f_from_h`, the inverse of `counting.h_from_f`.
@@ -19,7 +21,18 @@ more literal forms live here, each written once:
 from math import comb
 
 from polydissect.complexes import enumerate_faces
-from polydissect.polygons import FAMILY_A, KIND_DIAMETER, KIND_PAIR, chord
+from polydissect.polygons import (
+    FAMILY_A,
+    FAMILY_B,
+    KIND_DIAMETER,
+    KIND_PAIR,
+    Chord,
+    Diagonal,
+    a_diagonal,
+    chord,
+    diameter,
+    pair_chord,
+)
 from polydissect.simplicial import AbstractComplex, sort_vertices
 
 # -- polygon geometry ------------------------------------------------------------
@@ -80,6 +93,36 @@ def initial_label(d, params):
     c = d.canonical
     start = c.a if d.kind == KIND_DIAMETER else short_side(c, params.size)[0]
     return params.label_of_position(start)
+
+
+def b_pair(params, x, y):
+    """Type-B mirror pair containing the chord through positions x, y.
+
+    Raises ValueError when the chord is a diameter, joins adjacent vertices,
+    or its center-free arc is not 1 mod m.
+    """
+    if params.family != FAMILY_B:
+        raise ValueError("b_pair needs family-B parameters")
+    size = params.size
+    return Diagonal(KIND_PAIR, Chord(*pair_chord(size, params.m, x % size, y % size)))
+
+
+def diagonals_by_scan(params):
+    """Every valid diagonal, sorted by canonical chord positions, found by
+    trying all size**2 / 2 chords; a type-B pair is found through both of its
+    constituents and kept once."""
+    if params.family == FAMILY_A:
+        make, found = a_diagonal, set()
+    else:
+        make, found = b_pair, {diameter(params, p) for p in range(params.half)}
+    size = params.size
+    for x in range(size):
+        for y in range(x + 1, size):
+            try:
+                found.add(make(params, x, y))
+            except ValueError:
+                pass
+    return sorted(found, key=lambda d: d.sort_key)
 
 
 def peel_stages(params, pool):
@@ -170,6 +213,13 @@ def join(c1, c2):
 def cone(complex_, apex):
     """Join with the single new vertex `apex`."""
     return join(complex_, AbstractComplex([[apex]]))
+
+
+def format_facet_lines(complex_):
+    """One facet per line, its vertices in `sort_vertices` order: the text
+    that `simplicial.parse_facet_lines` reads."""
+    lines = [" ".join(str(v) for v in sort_vertices(f)) for f in complex_.facets]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- counting ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ from polydissect import bijection, counting
 from polydissect.bijection import BijectionImage, decode, encode
 from polydissect.complexes import Face, diameter_count, enumerate_faces, face_from_diagonals
 from polydissect.documents import load_face
-from polydissect.errors import InvalidImageError, MalformedFaceError
-from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams, b_pair, chord, diameter
+from oracles import b_pair
+from polydissect.errors import InvalidImageError, MalformedFaceError, ResourceLimitError
+from polydissect.polygons import FAMILY_A, FAMILY_B, PolygonParams, chord, diameter
 
 GRID = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
 
@@ -200,3 +201,29 @@ def test_large_parameters_build_no_per_parameter_table():
     face = decode(params, (7, 9), (1,) + (0,) * 48 + (1,))
     assert face == face_from_diagonals(params, [b_pair(params, 8, 59), diameter(params, 6)])
     assert time.perf_counter() - started < 2
+
+
+def test_walks_over_the_position_bound_are_refused_before_their_links():
+    """A walk holds one successor link per polygon position, so past the
+    bound `encode` and `decode` raise at once; a face with no diagonal needs
+    no walk, and a walk at the bound runs."""
+    bound = bijection._MAX_WALK_POSITIONS
+    params = PolygonParams(FAMILY_B, 100_000_000, 3)
+    doc = {"family": "B", "m": 100_000_000, "n": 3, "diagonals": [[1, 100_000_002]]}
+    started = time.perf_counter()
+    face = load_face(json.dumps(doc))
+    for call, args in [(decode, (params, (1,), (1, 0, 0))), (encode, (face,))]:
+        with pytest.raises(ResourceLimitError) as info:
+            call(*args)
+        assert (info.value.projected, info.value.bound) == (params.size, bound)
+    assert time.perf_counter() - started < 1
+    empty = Face(params, frozenset())
+    assert decode(params, (), (0, 0, 0)) == empty
+    assert encode(empty) == BijectionImage((), (0, 0, 0))
+
+    largest = PolygonParams(FAMILY_B, bound // 2 - 1, 1)  # 2m + 2 = bound positions
+    face = Face(largest, frozenset([diameter(largest, 0)]))
+    assert decode(largest, (1,), (1,)) == face
+    assert encode(face) == BijectionImage((1,), (1,))
+    with pytest.raises(ResourceLimitError):
+        decode(PolygonParams(FAMILY_B, bound // 2, 1), (1,), (1,))

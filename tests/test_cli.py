@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import facets as oracle_facets
-from polydissect import cli, complexes, counting, homology, simplicial
+from polydissect import bijection, cli, complexes, counting, homology, simplicial
 from polydissect.cli import main
 from polydissect.documents import diagonal_to_labels
 from polydissect.polygons import PolygonParams
@@ -82,6 +82,15 @@ def test_enumerate_up_to(capsys):
                        "--up-to", "1", "--format", "json")
     assert code == OK
     assert json.loads(out)["result"]["f_vector_enumerated"] == [1, 21]
+
+
+def test_enumerate_lists_the_diagonals_of_a_large_polygon(capsys):
+    # A(100000, 2): 100 001 diagonals of a 200 002-gon, whose 2 * 10**10
+    # chords a scan of every chord would try
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", "--family", "A", "--m", "100000", "--n", "2")
+    assert time.perf_counter() - started < 20
+    assert (code, out) == (OK, "cardinality 0: 1\ncardinality 1: 100001\n")
 
 
 def test_facets_lines_hexagon(capsys):
@@ -339,6 +348,16 @@ def test_bad_inputs_exit_with_usage_code(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{{{")
     assert run(capsys, "encode", str(notjson))[0] == USAGE
+
+
+def test_codec_walk_over_its_position_bound_exits_three(tmp_path, capsys):
+    doc = tmp_path / "face.json"
+    doc.write_text('{"family": "B", "m": 100000000, "n": 3, "diagonals": [[1, 100000002]]}')
+    message = ("resource limit: the stage walk would hold 600000002 polygon positions, "
+               f"over bound {bijection._MAX_WALK_POSITIONS}\n")
+    for argv in (["decode", "--m", "100000000", "--n", "3", "--a", "1", "--eps", "1,0,0"],
+                 ["encode", str(doc)]):
+        assert run(capsys, *argv) == (RESOURCE, "", message)
 
 
 def test_resource_limit_exits_three(capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import compatible, constituents, facets
+from oracles import b_pair, compatible, constituents, facets
 from polydissect import complexes, counting
 from polydissect.complexes import (
     DEFAULT_MAX_FACES,
@@ -34,7 +34,6 @@ from polydissect.polygons import (
     FAMILY_B,
     PolygonParams,
     all_diagonals,
-    b_pair,
     diameter,
     positions_cross,
 )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import b_pair
 from polydissect.bijection import decode
 from polydissect.complexes import Face, enumerate_faces, is_face
 from polydissect.documents import (
@@ -26,7 +27,6 @@ from polydissect.polygons import (
     PolygonParams,
     a_diagonal,
     all_diagonals,
-    b_pair,
     diameter,
     initial_position,
 )

@@ -3,19 +3,22 @@
 Oracles are independent re-derivations: crossing by walking the circle and
 initial points by the shorter side of a chord (both in `oracles`), family-A
 validity by checking both cells of the cut, family-B pairs by brute force
-over all chords.
+over all chords, and the diagonal list by trying every chord.
 """
 
 import pytest
 
 from oracles import (
     arc_distance,
+    b_pair,
     compatible,
     constituents,
     crossing_oracle,
+    diagonals_by_scan,
     initial_label,
     short_side,
 )
+from polydissect import polygons
 from polydissect.polygons import (
     FAMILY_A,
     FAMILY_B,
@@ -26,7 +29,6 @@ from polydissect.polygons import (
     a_diagonal,
     all_diagonals,
     b_diagonal,
-    b_pair,
     chord,
     constituent_positions,
     diameter,
@@ -175,6 +177,35 @@ def test_b_pair_count_by_brute_force(m, n):
     diams = {diameter(params, p) for p in range(params.size)}
     assert len(diams) == params.half
     assert sorted(pairs | diams, key=lambda d: d.sort_key) == all_diagonals(params)
+
+
+@pytest.mark.parametrize("family", [FAMILY_A, FAMILY_B])
+def test_all_diagonals_match_the_chord_scan(family):
+    """The diagonals drawn from their admissible arcs are the scan's, in the
+    same order, on every m, n <= 8 and on large polygons with few diagonals."""
+    grid = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(200, 2), (100, 2), (40, 3)]
+    for m, n in grid:
+        params = PolygonParams(family, m, n)
+        assert all_diagonals(params) == diagonals_by_scan(params), (m, n)
+
+
+@pytest.mark.parametrize("family", [FAMILY_A, FAMILY_B])
+def test_all_diagonals_calls_its_constructor_at_most_n_size_times(monkeypatch, family):
+    name = "a_diagonal" if family == FAMILY_A else "b_diagonal"
+    make, calls = getattr(polygons, name), []
+
+    def counted(params, x, y):
+        calls.append((x, y))
+        return make(params, x, y)
+
+    monkeypatch.setattr(polygons, name, counted)
+    grid = [(m, n) for m in (1, 2, 5) for n in (1, 2, 3, 8)] + [(3000, 2), (1000, 3), (1, 200)]
+    for m, n in grid:
+        params = PolygonParams(family, m, n)
+        del calls[:]
+        diagonals = all_diagonals(params)
+        assert len(calls) <= n * params.size, (m, n)
+        assert len(diagonals) <= len(calls)
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (2, 3, 4)])

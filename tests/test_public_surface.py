@@ -50,7 +50,7 @@ PUBLIC = {
     "homology": ["BoundaryMatrix", "boundary_matrix", "matrix_rank", "reduced_betti"],
     "polygons": [
         "Chord", "Diagonal", "FAMILY_A", "FAMILY_B", "KIND_CHORD", "KIND_DIAMETER", "KIND_PAIR",
-        "PolygonParams", "a_diagonal", "all_diagonals", "b_diagonal", "b_pair", "chord",
+        "PolygonParams", "a_diagonal", "all_diagonals", "b_diagonal", "chord",
         "constituent_positions", "diameter", "initial_position", "pair_chord",
         "pairwise_compatible", "positions_cross",
     ],
@@ -59,7 +59,7 @@ PUBLIC = {
     "simplicial": [
         "AbstractComplex", "Certificate", "DEFAULT_MAX_STATES", "DecompositionLeaf",
         "DecompositionNode", "ShellingOrder", "faces_by_dimension", "find_vertex_decomposition",
-        "format_facet_lines", "parse_facet_lines", "shelling_from_decomposition",
+        "parse_facet_lines", "shelling_from_decomposition",
         "sort_vertices", "verify_shelling", "verify_vertex_decomposition",
     ],
 }

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NotAFaceError, cone, deletion, has_face, join, link, sorted_facets
+from oracles import (
+    NotAFaceError,
+    cone,
+    deletion,
+    format_facet_lines,
+    has_face,
+    join,
+    link,
+    sorted_facets,
+)
 from polydissect import counting, simplicial
 from polydissect.complexes import abstract_facets, enumerate_faces
 from polydissect.errors import ResourceLimitError, ShellingError
@@ -21,7 +30,6 @@ from polydissect.simplicial import (
     ShellingOrder,
     faces_by_dimension,
     find_vertex_decomposition,
-    format_facet_lines,
     parse_facet_lines,
     shelling_from_decomposition,
     sort_vertices,
